@@ -91,12 +91,12 @@ SCALE_PLAYERS: dict[str, tuple[int, ...]] = {
 # Scale-appropriate solver settings, pinned explicitly so the cold and
 # warm paths solve with identical settings (solve_dspp and DSPPWorkspace
 # have different *defaults*).  The sparse scales ride the sparsified
-# matrix-free Krylov backend, same as the solver benchmark's candidates.
+# banded backend, same as the solver benchmark at those scales.
 SCALE_SETTINGS: dict[str, QPSettings] = {
     "paper": QPSettings(early_polish=True),
-    "xlarge": QPSettings(early_polish=True, kkt_backend="krylov", sparsify_columns="on"),
+    "xlarge": QPSettings(early_polish=True, kkt_backend="banded", sparsify_columns="on"),
     "continental": QPSettings(
-        early_polish=True, kkt_backend="krylov", sparsify_columns="on"
+        early_polish=True, kkt_backend="banded", sparsify_columns="on"
     ),
 }
 

@@ -14,7 +14,7 @@ agree on costs, which an integration test pins down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,22 +54,12 @@ class SimulationEngine:
         scenario: the setting to run (realized demand/prices inside).
         controller: an MPC controller built over ``scenario.instance``
             (its predictors define the analysis-and-prediction module).
-        reuse_workspace: optional override of the controller's
-            ``config.reuse_workspace`` flag for this run (``None`` leaves
-            the controller's own setting untouched).  Enabling it lets the
-            per-period DSPP solves share one cached factorization; the
-            shrinking end-of-run horizons trigger transparent rebuilds.
-        kkt_backend: optional override of the controller's
-            ``config.kkt_backend`` for this run (``"auto"``, ``"sparse"``
-            or ``"banded"``; ``None`` leaves the controller untouched).
     """
 
     def __init__(
         self,
         scenario: Scenario,
         controller: MPCController,
-        reuse_workspace: bool | None = None,
-        kkt_backend: str | None = None,
     ) -> None:
         instance = scenario.instance
         if controller.instance.datacenters != instance.datacenters:
@@ -78,18 +68,6 @@ class SimulationEngine:
             raise ValueError("controller and scenario disagree on locations")
         self.scenario = scenario
         self.controller = controller
-        if (
-            reuse_workspace is not None
-            and reuse_workspace != controller.config.reuse_workspace
-        ):
-            controller.config = replace(
-                controller.config, reuse_workspace=reuse_workspace
-            )
-        if (
-            kkt_backend is not None
-            and kkt_backend != controller.config.kkt_backend
-        ):
-            controller.config = replace(controller.config, kkt_backend=kkt_backend)
         self.monitoring = MonitoringModule(
             num_locations=instance.num_locations,
             num_datacenters=instance.num_datacenters,
