@@ -24,7 +24,7 @@ from repro.contracts import check_shapes
 from repro.core.dspp import DSPPSolution, DSPPWorkspace, solve_dspp
 from repro.core.instance import DSPPInstance
 from repro.prediction.base import Predictor
-from repro.solvers.qp import QPSettings, QPSolution
+from repro.solvers.qp import QPSettings
 
 __all__ = [
     "MPCConfig",
@@ -51,21 +51,19 @@ class MPCConfig:
     Attributes:
         window: prediction horizon ``W`` (>= 1).
         qp_settings: solver settings forwarded to each DSPP solve.
-        warm_start: reuse each period's QP solution to seed the next solve
-            (valid because consecutive windows have identical shape).
+        warm_start: seed each period's ADMM run from the iterates the
+            controller's workspace kept from the previous solve (valid
+            because consecutive windows have identical shape).  The
+            workspace itself (Ruiz scaling, KKT factorization, cached
+            active set) persists either way; only a structure change
+            (horizon override, SLA or weight change) rebuilds it.  See
+            ``docs/PERFORMANCE.md``.
         slack_penalty: if set, each horizon solve uses the *elastic* DSPP
             (demand shortfall allowed at this per-unit cost).  This keeps
             the controller solvable when forecasts exceed what capacity or
             ramping can serve, and lets it spread large ramps over several
             periods — the behaviour behind the paper's horizon-length
             studies (Figures 9 and 10).
-        reuse_workspace: keep one :class:`~repro.core.dspp.DSPPWorkspace`
-            alive for the controller's lifetime, so consecutive periods
-            share the Ruiz scaling and the KKT factorization (a vector-only
-            ``update()`` instead of a full re-factorization).  Capacity
-            swaps via :meth:`MPCController.set_capacities` stay on the fast
-            path; only a genuine structure change (horizon override, SLA or
-            weight change) rebuilds.  See ``docs/PERFORMANCE.md``.
         imputation: what to do with non-finite telemetry.  ``"strict"``
             (default) raises :class:`NonFiniteObservationError` at the
             period that saw the bad sample; ``"carry_forward"`` replaces
@@ -80,7 +78,6 @@ class MPCConfig:
     qp_settings: QPSettings | None = None
     warm_start: bool = True
     slack_penalty: float | None = None
-    reuse_workspace: bool = False
     imputation: str = "strict"
 
     def __post_init__(self) -> None:
@@ -166,10 +163,9 @@ class MPCController:
         self.config = config or MPCConfig()
         self._state = instance.initial_state.copy()
         self._period = 0
-        self._last_qp: QPSolution | None = None
-        # Created lazily on the first step so ``config`` may still be
-        # swapped (e.g. by the simulation engine) after construction.
-        self._workspace: DSPPWorkspace | None = None
+        # One workspace for the controller's lifetime: consecutive periods
+        # share the structure, Ruiz scaling and KKT factorization.
+        self._workspace = DSPPWorkspace()
         # Last finite value seen per series (the carry-forward source) and
         # the imputation masks of the most recent observe(), consumed by
         # the next plan()/hold().
@@ -192,6 +188,19 @@ class MPCController:
         """Replace the capacity vector (the game coordinator's quota)."""
         self.instance = self.instance.with_capacities(np.asarray(capacities, dtype=float))
 
+    def set_state(self, state: np.ndarray) -> None:
+        """Replace the current allocation ``x_k`` and nothing else.
+
+        Unlike :meth:`reset`, the period counter, the predictor histories
+        and the warm workspace survive: the next plan starts from ``state``
+        on the same vector-only fast path (e.g. after servers at a failed
+        site were evicted).
+        """
+        state = np.asarray(state, dtype=float)
+        if state.shape != self._state.shape:
+            raise ValueError(f"state must be {self._state.shape}, got {state.shape}")
+        self._state = state.copy()
+
     def reset(self, state: np.ndarray | None = None) -> None:
         """Restart from ``state`` (default: the instance's initial state)."""
         self._state = (
@@ -200,15 +209,13 @@ class MPCController:
             else self.instance.initial_state.copy()
         )
         self._period = 0
-        self._last_qp = None
         self._last_finite_demand = None
         self._last_finite_prices = None
         self._imputed_demand = None
         self._imputed_prices = None
-        if self._workspace is not None:
-            # The structure fingerprint would survive a reset unchanged, but
-            # the stored ADMM iterates belong to the abandoned run.
-            self._workspace.invalidate()
+        # The structure fingerprint would survive a reset unchanged, but the
+        # stored ADMM iterates belong to the abandoned run.
+        self._workspace.invalidate()
         self.demand_predictor.reset()
         self.price_predictor.reset()
 
@@ -302,9 +309,10 @@ class MPCController:
             cold: drop the persistent workspace's cached factorization and
                 the stored warm start before solving (a from-scratch
                 re-factorization of the same problem).
-            use_workspace: ``False`` bypasses the persistent workspace and
-                warm start entirely for this call (a one-shot solve that
-                shares no cached state).
+            use_workspace: ``False`` solves this call without the
+                persistent workspace: a one-shot cold solve that neither
+                reads nor updates the cached structure, factorization or
+                iterates (the degradation ladder's last solve rung).
 
         Returns:
             The :class:`MPCStep`; the controller's internal state advances
@@ -320,9 +328,7 @@ class MPCController:
         predicted_prices = self.price_predictor.predict(window)
 
         if cold:
-            if self._workspace is not None:
-                self._workspace.invalidate()
-            self._last_qp = None
+            self._workspace.invalidate()
 
         # Prime the memoized structure key on the base instance (a no-op
         # after the first step) so every derived per-period copy inherits
@@ -330,31 +336,15 @@ class MPCController:
         # not once per period.
         self.instance.structure_key()
         instance_now = self.instance.with_initial_state(self._state)
-        workspace: DSPPWorkspace | None = None
-        if self.config.reuse_workspace and use_workspace:
-            if self._workspace is None:
-                self._workspace = DSPPWorkspace()
-            workspace = self._workspace
-        # With a persistent workspace the previous solve's (scaled) iterates
-        # are already stored inside it, which warm-starts strictly better
-        # than re-seeding from the unscaled solution vector.
-        warm = (
-            self._last_qp
-            if self.config.warm_start and workspace is None and use_workspace
-            else None
-        )
         solution = solve_dspp(
             instance_now,
             predicted_demand,
             predicted_prices,
             settings=settings if settings is not None else self.config.qp_settings,
-            warm_start=warm,
             demand_slack_penalty=self.config.slack_penalty,
-            workspace=workspace,
+            workspace=self._workspace if use_workspace else None,
             reuse_iterates=self.config.warm_start,
         )
-        if use_workspace:
-            self._last_qp = solution.qp
 
         control = solution.first_control
         self._state = np.maximum(self._state + control, 0.0)

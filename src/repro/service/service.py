@@ -171,7 +171,6 @@ class PlacementService:
                 qp_settings=self.config.qp_settings,
                 warm_start=True,
                 slack_penalty=self.config.slack_penalty,
-                reuse_workspace=True,
                 imputation=self.config.imputation,
             ),
         )

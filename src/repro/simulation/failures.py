@@ -105,7 +105,8 @@ def run_closed_loop_with_failures(
     outage the surviving capacity may simply not cover demand.
 
     Args:
-        controller: an MPC controller (fresh or reset).
+        controller: an MPC controller; it is reset to its current state
+            (clearing predictor history) before the first period.
         demand: realized demand, shape ``(V, K)``.
         prices: realized prices, shape ``(L, K)``.
         outages: the failure schedule.
@@ -134,6 +135,9 @@ def run_closed_loop_with_failures(
     unmet = np.zeros((num_steps, V))
     steps: list[MPCStep] = []
 
+    # Start from a clean history at the current allocation; from here on the
+    # controller keeps its predictors and warm workspace across periods.
+    controller.reset(initial_state)
     for k in range(num_steps):
         # The capacity that will hold during the period being planned (k+1).
         # A full outage is modelled as an epsilon capacity: the instance
@@ -148,11 +152,7 @@ def run_closed_loop_with_failures(
             if used > current_capacity[l] + 1e-9:
                 scale = current_capacity[l] / used if used > 0 else 0.0
                 state[l] *= scale
-        controller.reset(state)  # type: ignore[arg-type]
-        # reset() clears predictors; refeed the observation history so the
-        # forecasts survive the capacity change.
-        controller.demand_predictor.observe_history(demand[:, :k])
-        controller.price_predictor.observe_history(prices[:, :k])
+        controller.set_state(state)
 
         horizon = effective_horizon(controller.config.window, k, num_steps)
         step = controller.step(demand[:, k], prices[:, k], horizon=horizon)

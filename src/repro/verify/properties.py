@@ -610,13 +610,14 @@ def prop_price_monotonicity(
 def prop_horizon1_mpc_equals_myopic(
     rng: np.random.Generator, tier: ScaleTier
 ) -> list[Discrepancy]:
-    """A window-1 MPC step (through the workspace path) ≡ a direct cold solve.
+    """A window-1 MPC step (the controller's warm path) ≡ a direct cold solve.
 
     With a last-value predictor the window-1 forecast *is* the current
     observation, so each controller step must reproduce the one-period
     myopic solve from the same state — applied control and objective both.
-    This crosses three layers at once: predictor plumbing, the persistent
-    workspace fast path, and the receding state update.
+    This crosses three layers at once: predictor plumbing, the workspace
+    every controller keeps (vector-only update, warm iterates, cached
+    active set), and the receding state update.
     """
     instance, demand, prices = _draw_problem(rng, tier, load=0.5)
     num_steps = int(rng.integers(2, 5))
@@ -626,7 +627,7 @@ def prop_horizon1_mpc_equals_myopic(
         instance,
         LastValuePredictor(instance.num_locations),
         LastValuePredictor(instance.num_datacenters),
-        MPCConfig(window=1, reuse_workspace=True),
+        MPCConfig(window=1),
     )
     findings: list[Discrepancy] = []
     for k in range(num_steps):

@@ -249,12 +249,59 @@ class TestClosedLoop:
         assert np.all(result.trajectory.states[:, 0, 0] <= 3.0 + 1e-6)
 
 
+class TestWarmControllerPath:
+    """Every controller keeps one workspace: a default-config receding
+    horizon run pays one Ruiz equilibration per structure and re-solves
+    steady periods by the cached active-set crossover alone."""
+
+    def test_default_controller_runs_warm(self):
+        instance = DSPPInstance(
+            datacenters=("a", "b"),
+            locations=("v0", "v1", "v2"),
+            sla_coefficients=np.array([[0.1, 0.12, 0.2], [0.15, 0.1, 0.11]]),
+            reconfiguration_weights=np.array([1.0, 1.5]),
+            capacities=np.array([200.0, 200.0]),
+            initial_state=np.zeros((2, 3)),
+        )
+        demand = np.full((3, 10), 30.0)
+        prices = np.vstack([np.ones(10), np.full(10, 1.2)])
+        controller = MPCController(
+            instance,
+            LastValuePredictor(instance.num_locations),
+            LastValuePredictor(instance.num_datacenters),
+        )
+        result = run_closed_loop(controller, demand, prices)
+        workspace = controller._workspace
+        # Window 3 clamped near the end: horizons 3, 2 and 1.
+        assert workspace.num_setups == 3
+        assert workspace._qp.num_equilibrations == workspace.num_setups
+        iterations = [step.solution.qp.iterations for step in result.steps]
+        assert 0 in iterations[1:]
+
+    def test_set_state_keeps_the_workspace(self, single_pair_instance):
+        controller = MPCController(
+            single_pair_instance,
+            LastValuePredictor(1),
+            LastValuePredictor(1),
+            MPCConfig(window=2),
+        )
+        controller.step(np.array([100.0]), np.array([1.0]))
+        controller.set_state(np.array([[4.0]]))
+        assert controller.period == 1
+        assert controller.state[0, 0] == 4.0
+        controller.step(np.array([100.0]), np.array([1.0]))
+        assert controller._workspace.num_setups == 1
+        assert controller.demand_predictor.num_observations == 2
+        with pytest.raises(ValueError, match="state must be"):
+            controller.set_state(np.zeros((2, 1)))
+
+
 class TestStructureFingerprintCaching:
     def test_reusing_workspace_hashes_structure_once(self, monkeypatch):
-        """A receding-horizon run with ``reuse_workspace=True`` must hash
-        the structure-relevant arrays exactly once: ``with_initial_state``
-        propagates the memoized key, so advancing the state every period
-        never re-invokes ``_compute_structure_key``."""
+        """A receding-horizon run through the controller's persistent
+        workspace must hash the structure-relevant arrays exactly once:
+        ``with_initial_state`` propagates the memoized key, so advancing
+        the state every period never re-invokes ``_compute_structure_key``."""
         calls = {"n": 0}
         original = DSPPInstance._compute_structure_key
 
@@ -280,7 +327,7 @@ class TestStructureFingerprintCaching:
             instance,
             OraclePredictor(demand),
             OraclePredictor(prices),
-            MPCConfig(window=3, reuse_workspace=True),
+            MPCConfig(window=3),
         )
         run_closed_loop(controller, demand, prices)
         assert calls["n"] == 1

@@ -6,9 +6,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.control.horizon import effective_horizon
 from repro.control.mpc import MPCConfig, MPCController
 from repro.core.instance import DSPPInstance
 from repro.io import load_scenario, save_scenario
+from repro.prediction.ar import ARPredictor
+from repro.prediction.ensemble import BestRecentEnsemble, MeanEnsemble
+from repro.prediction.naive import LastValuePredictor
 from repro.prediction.oracle import OraclePredictor
 from repro.report import ReportOptions, _markdown_table
 from repro.simulation.failures import (
@@ -196,6 +200,106 @@ class TestFailureLoop:
         # After recovery the cheap DC is used again and demand is met.
         assert result.trajectory.states[-1, 0].sum() > 1.0
         assert result.unmet_demand[-1].sum() == pytest.approx(0.0, abs=1e-5)
+
+
+def _last_value(num_series):
+    return LastValuePredictor(num_series)
+
+
+def _ar(num_series):
+    return ARPredictor(num_series, order=2)
+
+
+def _mean_ensemble(num_series):
+    return MeanEnsemble([LastValuePredictor(num_series), ARPredictor(num_series, order=2)])
+
+
+def _best_recent(num_series):
+    return BestRecentEnsemble(
+        [LastValuePredictor(num_series), ARPredictor(num_series, order=2)]
+    )
+
+
+def _reset_and_refeed(controller, demand, prices, outages):
+    """The outage loop as it was before ``set_state``: every period resets
+    the controller (dropping its workspace and predictors) and re-feeds the
+    whole observation history.  Returns the steps and the state trajectory."""
+    schedule = capacity_schedule(controller.instance.capacities, demand.shape[1], outages)
+    size = controller.instance.server_size
+    num_steps = demand.shape[1] - 1
+    steps = []
+    for k in range(num_steps):
+        capacity = np.maximum(schedule[k + 1], 1e-9)
+        controller.set_capacities(capacity)
+        state = controller.state
+        for l in range(state.shape[0]):
+            used = size * state[l].sum()
+            if used > capacity[l] + 1e-9:
+                state[l] *= capacity[l] / used if used > 0 else 0.0
+        controller.reset(state)
+        controller.demand_predictor.observe_history(demand[:, :k])
+        controller.price_predictor.observe_history(prices[:, :k])
+        horizon = effective_horizon(controller.config.window, k, num_steps)
+        steps.append(controller.step(demand[:, k], prices[:, k], horizon=horizon))
+    return steps, np.stack([step.new_state for step in steps])
+
+
+class TestWarmOutageLoop:
+    """The outage loop keeps the controller's predictors and workspace
+    (``set_state``) instead of resetting and re-feeding every period."""
+
+    @pytest.fixture
+    def scenario(self):
+        return build_small_scenario(num_periods=14, seed=5)
+
+    @staticmethod
+    def _controller(instance, make_predictor):
+        return MPCController(
+            instance,
+            make_predictor(instance.num_locations),
+            make_predictor(instance.num_datacenters),
+            MPCConfig(window=3, slack_penalty=1e3),
+        )
+
+    @pytest.mark.parametrize(
+        "make_predictor", [_last_value, _ar, _mean_ensemble, _best_recent]
+    )
+    def test_matches_reset_and_refeed(self, scenario, make_predictor):
+        instance = scenario.instance
+        # Data center 1 carries load when it fails, so servers are evicted.
+        outages = [OutageEvent(1, start_period=5, duration=3, remaining_fraction=0.0)]
+        warm = run_closed_loop_with_failures(
+            self._controller(instance, make_predictor),
+            scenario.demand,
+            scenario.prices,
+            outages,
+        )
+        steps, states = _reset_and_refeed(
+            self._controller(instance, make_predictor),
+            scenario.demand,
+            scenario.prices,
+            outages,
+        )
+        # The forecasts depend on the observation history only: identical.
+        for new, old in zip(warm.steps, steps, strict=True):
+            np.testing.assert_array_equal(new.predicted_demand, old.predicted_demand)
+            np.testing.assert_array_equal(new.predicted_prices, old.predicted_prices)
+        # The plans differ only by solver tolerance (warm crossover vs. a
+        # cold solve every period).
+        scale = max(1.0, float(np.abs(states).max()))
+        np.testing.assert_allclose(warm.trajectory.states, states, rtol=0, atol=1e-4 * scale)
+
+    def test_workspace_survives_the_outage(self, scenario):
+        instance = scenario.instance
+        controller = self._controller(instance, _last_value)
+        outages = [OutageEvent(1, start_period=4, duration=4, remaining_fraction=0.0)]
+        result = run_closed_loop_with_failures(
+            controller, scenario.demand, scenario.prices, outages
+        )
+        # One structure per distinct horizon (3, 2, 1): capacity swaps and
+        # evictions are vector-only updates of the same workspace.
+        assert controller._workspace.num_setups == 3
+        assert [step.period for step in result.steps] == list(range(len(result.steps)))
 
 
 class TestScenarioIO:
