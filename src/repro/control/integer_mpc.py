@@ -18,7 +18,8 @@ by unit tests here at the loop level.
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import replace
+from typing import Any
 
 from repro.control.mpc import MPCController, MPCStep
 from repro.core.integer import round_repair
@@ -35,20 +36,18 @@ class IntegerMPCController(MPCController):
     plan's starting point) is the integer state.
     """
 
-    def step(
-        self,
-        observed_demand: np.ndarray,
-        observed_prices: np.ndarray,
-        horizon: int | None = None,
-    ) -> MPCStep:
-        """Run one period of Algorithm 1, then integrize the applied state.
+    def plan(self, horizon: int | None = None, **options: Any) -> MPCStep:
+        """Plan one period continuously, then integrize the applied state.
+
+        Every driver path (:meth:`step`, or :meth:`observe` + ``plan`` as
+        the period kernel and the service ladder use) goes through here.
 
         Returns:
             An :class:`MPCStep` whose ``new_state`` is integral and whose
             ``applied_control`` is the *realized* (integer) move.
         """
         previous_state = self._state.copy()
-        step = super().step(observed_demand, observed_prices, horizon=horizon)
+        step = super().plan(horizon, **options)
 
         # Integrize against the demand the plan was built for.
         planned_demand = step.predicted_demand[:, :1]  # (V, 1)
@@ -56,11 +55,8 @@ class IntegerMPCController(MPCController):
             self.instance, step.new_state[None], planned_demand
         )[0]
         self._state = integer_state
-        return MPCStep(
-            period=step.period,
+        return replace(
+            step,
             applied_control=integer_state - previous_state,
             new_state=integer_state.copy(),
-            predicted_demand=step.predicted_demand,
-            predicted_prices=step.predicted_prices,
-            solution=step.solution,
         )

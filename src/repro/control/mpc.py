@@ -107,8 +107,6 @@ class MPCStep:
         solution: the full horizon solution (plans beyond the first move
             are informational only), or ``None`` for a held period (see
             :meth:`MPCController.hold`).
-        held: ``True`` when no solve happened this period and the previous
-            allocation was carried unchanged.
         imputed_demand: boolean mask over the ``V`` demand series whose
             observation was repaired by carry-forward imputation this
             period (``None``: nothing was imputed).
@@ -121,9 +119,13 @@ class MPCStep:
     predicted_demand: np.ndarray
     predicted_prices: np.ndarray
     solution: DSPPSolution | None
-    held: bool = False
     imputed_demand: np.ndarray | None = None
     imputed_prices: np.ndarray | None = None
+
+    @property
+    def held(self) -> bool:
+        """``True`` when no solve happened and the allocation was carried."""
+        return self.solution is None
 
 
 class MPCController:
@@ -281,13 +283,33 @@ class MPCController:
         self.price_predictor.observe(prices)
         return demand, prices
 
-    def _consume_imputation_flags(
+    def _forecast(self, horizon: int | None) -> tuple[np.ndarray, np.ndarray]:
+        window = horizon if horizon is not None else self.config.window
+        if window < 1:
+            raise ValueError(f"horizon must be >= 1, got {window}")
+        return self.demand_predictor.predict(window), self.price_predictor.predict(window)
+
+    def _emit(
         self,
-    ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        flags = (self._imputed_demand, self._imputed_prices)
+        control: np.ndarray,
+        forecast: tuple[np.ndarray, np.ndarray],
+        solution: DSPPSolution | None,
+    ) -> MPCStep:
+        """Close the period at the current state; consumes the imputation flags."""
+        step = MPCStep(
+            period=self._period,
+            applied_control=control,
+            new_state=self._state.copy(),
+            predicted_demand=forecast[0],
+            predicted_prices=forecast[1],
+            solution=solution,
+            imputed_demand=self._imputed_demand,
+            imputed_prices=self._imputed_prices,
+        )
         self._imputed_demand = None
         self._imputed_prices = None
-        return flags
+        self._period += 1
+        return step
 
     def plan(
         self,
@@ -321,12 +343,7 @@ class MPCController:
         Raises:
             DSPPInfeasibleError: if the forecast demand cannot be served.
         """
-        window = horizon if horizon is not None else self.config.window
-        if window < 1:
-            raise ValueError(f"horizon must be >= 1, got {window}")
-        predicted_demand = self.demand_predictor.predict(window)
-        predicted_prices = self.price_predictor.predict(window)
-
+        forecast = self._forecast(horizon)
         if cold:
             self._workspace.invalidate()
 
@@ -338,8 +355,7 @@ class MPCController:
         instance_now = self.instance.with_initial_state(self._state)
         solution = solve_dspp(
             instance_now,
-            predicted_demand,
-            predicted_prices,
+            *forecast,
             settings=settings if settings is not None else self.config.qp_settings,
             demand_slack_penalty=self.config.slack_penalty,
             workspace=self._workspace if use_workspace else None,
@@ -348,19 +364,7 @@ class MPCController:
 
         control = solution.first_control
         self._state = np.maximum(self._state + control, 0.0)
-        imputed_demand, imputed_prices = self._consume_imputation_flags()
-        step = MPCStep(
-            period=self._period,
-            applied_control=control,
-            new_state=self._state.copy(),
-            predicted_demand=predicted_demand,
-            predicted_prices=predicted_prices,
-            solution=solution,
-            imputed_demand=imputed_demand,
-            imputed_prices=imputed_prices,
-        )
-        self._period += 1
-        return step
+        return self._emit(control, forecast, solution)
 
     def hold(self, horizon: int | None = None) -> MPCStep:
         """Advance one period without solving: keep the last allocation.
@@ -380,25 +384,8 @@ class MPCController:
             An :class:`MPCStep` with ``held=True``, ``solution=None`` and
             a zero applied control.
         """
-        window = horizon if horizon is not None else self.config.window
-        if window < 1:
-            raise ValueError(f"horizon must be >= 1, got {window}")
-        predicted_demand = self.demand_predictor.predict(window)
-        predicted_prices = self.price_predictor.predict(window)
-        imputed_demand, imputed_prices = self._consume_imputation_flags()
-        step = MPCStep(
-            period=self._period,
-            applied_control=np.zeros_like(self._state),
-            new_state=self._state.copy(),
-            predicted_demand=predicted_demand,
-            predicted_prices=predicted_prices,
-            solution=None,
-            held=True,
-            imputed_demand=imputed_demand,
-            imputed_prices=imputed_prices,
-        )
-        self._period += 1
-        return step
+        forecast = self._forecast(horizon)
+        return self._emit(np.zeros_like(self._state), forecast, None)
 
     @check_shapes("observed_demand:(V,)", "observed_prices:(L,)")
     def step(

@@ -41,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.control.loop import run_closed_loop
 from repro.control.mpc import MPCConfig, MPCController
 from repro.events.arrivals import (
     ArrivalProcess,
@@ -54,7 +55,7 @@ from repro.events.calibration import CalibrationCollector
 from repro.events.collectors import LatencyCollector, ThroughputCollector
 from repro.events.engine import EventEngine, ReplayConfig
 from repro.prediction.naive import LastValuePredictor
-from repro.simulation.failures import OutageEvent, run_closed_loop_with_failures
+from repro.simulation.failures import OutageEvent
 from repro.simulation.scenario import (
     Scenario,
     build_paper_scenario,
@@ -215,15 +216,9 @@ def run_events(args: argparse.Namespace) -> int:
         LastValuePredictor(instance.num_datacenters),
         MPCConfig(window=3, slack_penalty=100.0),
     )
-    if outages:
-        closed_loop = run_closed_loop_with_failures(
-            controller, scenario.demand, scenario.prices, outages
-        )
-        states = closed_loop.trajectory.states
-    else:
-        from repro.simulation.engine import SimulationEngine
-
-        states = SimulationEngine(scenario, controller).run().states
+    states = run_closed_loop(
+        controller, scenario.demand, scenario.prices, outages=outages
+    ).trajectory.states
 
     calibration = CalibrationCollector()
     latency = LatencyCollector()

@@ -2,7 +2,7 @@
 
 :class:`EventEngine` replays individual requests against the placement
 trajectory produced by :class:`~repro.simulation.engine.SimulationEngine`
-(or :func:`~repro.simulation.failures.run_closed_loop_with_failures`).
+or :func:`~repro.control.loop.run_closed_loop` (with or without outages).
 Period ``p`` of the scenario is served by the controller's allocation
 ``states[p - 1]`` — exactly the column alignment of the fluid loop — and
 the placement switches at period boundaries, with each period's queues
@@ -332,7 +332,8 @@ class EventEngine:
     Args:
         scenario: the scenario the trajectory was computed for.
         states: controller allocations, shape ``(K-1, L, V)`` —
-            ``SimulationResult.states`` or a failure-aware trajectory.
+            ``SimulationResult.states`` or the ``trajectory.states`` of
+            ``run_closed_loop`` (which may run under ``outages``).
         config: replay sizing/seeding (default :class:`ReplayConfig`).
         process: arrival process (default: Poisson at the scenario's
             fluid rates — the paper's workload model).

@@ -1,9 +1,9 @@
 """The resident placement service: a supervised, restartable control loop.
 
-:class:`PlacementService` runs the same four-component loop as
-:class:`repro.simulation.engine.SimulationEngine` (monitoring →
-controller → router → metrics) but wraps every period in three
-robustness layers:
+:class:`PlacementService` runs the same period kernel as
+:class:`repro.simulation.engine.SimulationEngine`
+(:class:`repro.control.loop.PeriodKernel`: monitoring → controller →
+router → metrics) but wraps every period in three robustness layers:
 
 1. **Checkpoint/restore** — at configurable period boundaries the full
    controller state (workspace caches, predictor histories, router
@@ -33,17 +33,15 @@ from typing import Any
 
 import numpy as np
 
-from repro.control.horizon import effective_horizon
+from repro.control.loop import PeriodKernel
 from repro.control.mpc import MPCConfig, MPCController, MPCStep
 from repro.core.dspp import DSPPInfeasibleError
 from repro.prediction.ar import ARPredictor
 from repro.prediction.naive import LastValuePredictor
-from repro.routing.router import RequestRouter, RoutingDecision
 from repro.service.checkpoint import load_latest, write_checkpoint
 from repro.service.faults import FaultInjector, FaultPlan
 from repro.service.ladder import LADDER_RUNGS, DegradationLog, LadderConfig
-from repro.simulation.metrics import MetricsCollector, RunSummary
-from repro.simulation.monitoring import MonitoringModule
+from repro.simulation.engine import SimulationResult, scenario_kernel
 from repro.simulation.scenario import Scenario
 from repro.solvers.qp import QPSettings, QPStatus
 
@@ -108,25 +106,17 @@ class ServiceConfig:
 
 
 @dataclass(frozen=True)
-class ServiceResult:
+class ServiceResult(SimulationResult):
     """Everything a completed service run produced.
 
+    The :class:`~repro.simulation.engine.SimulationResult` fields, plus:
+
     Attributes:
-        summary: aggregated metrics (same schema as the batch engine).
-        states: realized allocations, shape ``(K-1, L, V)``.
-        controls: applied moves, shape ``(K-1, L, V)``.
-        routing: per-period routing decisions.
-        monitoring: the filled monitoring module.
         terminal_rungs: the ladder rung each period terminated at
             (``"warm"`` everywhere on a fault-free run).
         log: the structured degradation log.
     """
 
-    summary: RunSummary
-    states: np.ndarray
-    controls: np.ndarray
-    routing: tuple[RoutingDecision, ...]
-    monitoring: MonitoringModule
     terminal_rungs: tuple[str, ...]
     log: DegradationLog
 
@@ -162,7 +152,7 @@ class PlacementService:
             Path(checkpoint_dir) if checkpoint_dir is not None else None
         )
         instance = scenario.instance
-        self.controller = MPCController(
+        controller = MPCController(
             instance,
             _build_predictor(self.config.predictor, instance.num_locations),
             _build_predictor(self.config.predictor, instance.num_datacenters),
@@ -174,25 +164,14 @@ class PlacementService:
                 imputation=self.config.imputation,
             ),
         )
-        self.monitoring = MonitoringModule(
-            num_locations=instance.num_locations,
-            num_datacenters=instance.num_datacenters,
-        )
-        # The SLA policy works in seconds; the topology layer reports ms.
-        self.router = RequestRouter(
-            network_latency=scenario.latency.latency_ms * 1e-3,
-            demand_coefficients=instance.demand_coefficients,
-            service_rate=scenario.sla.service_rate,
-            max_latency=scenario.sla.max_latency,
-        )
-        self.metrics = MetricsCollector()
+        self.kernel = scenario_kernel(scenario, controller)
         self.log = DegradationLog()
         self.injector = FaultInjector(fault_plan) if fault_plan is not None else None
-        self._period = 0
-        self._states: list[np.ndarray] = []
-        self._controls: list[np.ndarray] = []
-        self._decisions: list[RoutingDecision] = []
         self._terminal_rungs: list[str] = []
+
+    @property
+    def controller(self) -> MPCController:
+        return self.kernel.controller
 
     # ------------------------------------------------------------------
     # checkpoint / restore
@@ -200,26 +179,27 @@ class PlacementService:
     @property
     def period(self) -> int:
         """Zero-based index of the next period to run."""
-        return self._period
+        return self.kernel.period
 
     @property
     def num_steps(self) -> int:
         """Controllable periods in the scenario (``K - 1``)."""
-        return self.scenario.num_periods - 1
+        return self.kernel.num_steps
 
     def _snapshot(self) -> dict[str, Any]:
+        kernel = self.kernel
         return {
             "scenario": self.scenario,
             "config": self.config,
-            "controller": self.controller,
-            "monitoring": self.monitoring,
-            "router": self.router,
-            "metrics": self.metrics,
+            "controller": kernel.controller,
+            "monitoring": kernel.monitoring,
+            "router": kernel.router,
+            "metrics": kernel.metrics,
             "injector": self.injector,
-            "period": self._period,
-            "states": list(self._states),
-            "controls": list(self._controls),
-            "decisions": list(self._decisions),
+            "period": kernel.period,
+            "states": list(kernel.states),
+            "controls": list(kernel.controls),
+            "decisions": list(kernel.decisions),
             "terminal_rungs": list(self._terminal_rungs),
             "log_events": self.log.events,
         }
@@ -234,7 +214,7 @@ class PlacementService:
             raise RuntimeError("service was created without a checkpoint_dir")
         path = write_checkpoint(
             self.checkpoint_dir,
-            self._period,
+            self.period,
             self._snapshot(),
             keep=self.config.keep_checkpoints,
         )
@@ -242,11 +222,11 @@ class PlacementService:
         # injector state saved *inside* it predates the damage, so a
         # restored run re-corrupts identically).
         if self.injector is not None and self.injector.corrupts_checkpoint(
-            self._period - 1
+            self.period - 1
         ):
             detail = self.injector.corrupt_file(path)
             self.log.record(
-                self._period - 1,
+                self.period - 1,
                 "service",
                 "checkpoint_corrupted",
                 f"{path.name}: {detail}",
@@ -269,29 +249,32 @@ class PlacementService:
         service.scenario = snapshot["scenario"]
         service.config = snapshot["config"]
         service.checkpoint_dir = Path(checkpoint_dir)
-        service.controller = snapshot["controller"]
-        service.monitoring = snapshot["monitoring"]
-        service.router = snapshot["router"]
-        service.metrics = snapshot["metrics"]
+        service.kernel = PeriodKernel(
+            snapshot["controller"],
+            service.scenario.demand,
+            service.scenario.prices,
+            monitoring=snapshot["monitoring"],
+            router=snapshot["router"],
+            metrics=snapshot["metrics"],
+        )
+        service.kernel.states = list(snapshot["states"])
+        service.kernel.controls = list(snapshot["controls"])
+        service.kernel.decisions = list(snapshot["decisions"])
         service.injector = snapshot["injector"]
-        service._period = snapshot["period"]
-        service._states = list(snapshot["states"])
-        service._controls = list(snapshot["controls"])
-        service._decisions = list(snapshot["decisions"])
         service._terminal_rungs = list(snapshot["terminal_rungs"])
         service.log = DegradationLog(snapshot["log_events"])
         for corrupt in skipped:
             service.log.record(
-                service._period,
+                service.period,
                 "service",
                 "checkpoint_fallback",
                 f"skipped corrupt generation {corrupt.name}",
             )
         service.log.record(
-            service._period,
+            service.period,
             "service",
             "restored",
-            f"resumed at period {service._period} from {path.name}",
+            f"resumed at period {service.period} from {path.name}",
         )
         return service
 
@@ -311,10 +294,9 @@ class PlacementService:
             ``None`` when stopped early by ``until``.
         """
         target = self.num_steps if until is None else min(until, self.num_steps)
-        while self._period < target:
-            k = self._period
-            self._run_period(k)
-            boundary = self._period
+        while self.period < target:
+            self._run_period(self.period)
+            boundary = self.period
             if self.checkpoint_dir is not None and (
                 boundary % self.config.checkpoint_interval == 0
                 or boundary == self.num_steps
@@ -322,58 +304,36 @@ class PlacementService:
                 self.checkpoint()
             if self.config.throttle_s > 0:
                 time.sleep(self.config.throttle_s)
-        if self._period >= self.num_steps:
+        if self.period >= self.num_steps:
             return self.result()
         return None
 
     def result(self) -> ServiceResult:
         """Assemble the result of the periods completed so far."""
-        instance = self.scenario.instance
-        L, V = instance.num_datacenters, instance.num_locations
-        states = (
-            np.stack(self._states)
-            if self._states
-            else np.empty((0, L, V))
-        )
-        controls = (
-            np.stack(self._controls)
-            if self._controls
-            else np.empty((0, L, V))
-        )
-        return ServiceResult(
-            summary=self.metrics.summary(),
-            states=states,
-            controls=controls,
-            routing=tuple(self._decisions),
-            monitoring=self.monitoring,
-            terminal_rungs=tuple(self._terminal_rungs),
-            log=self.log,
+        return ServiceResult.from_kernel(
+            self.kernel, terminal_rungs=tuple(self._terminal_rungs), log=self.log
         )
 
     def _run_period(self, k: int) -> None:
-        scenario = self.scenario
-        true_demand = scenario.demand[:, k]
-        true_prices = scenario.prices[:, k]
-        seen_demand, seen_prices = true_demand, true_prices
+        demand = self.scenario.demand[:, k]
+        prices = self.scenario.prices[:, k]
         if self.injector is not None:
-            seen_demand, seen_prices, kinds = self.injector.perturb_observation(
-                k, true_demand, true_prices
+            demand, prices, kinds = self.injector.perturb_observation(
+                k, demand, prices
             )
             for kind in kinds:
                 self.log.record(k, "service", "fault", kind)
-        observation = self.monitoring.record(seen_demand, seen_prices)
         try:
-            self.controller.observe(observation.demand, observation.prices)
+            step = self.kernel.run_period(self._ladder_solve, (demand, prices))
         except Exception as error:
-            # Strict-mode telemetry rejection (or carry-forward with no
-            # history) is a terminal service failure — record it before
-            # propagating so the operator sees *why* the loop stopped.
+            # Anything escaping the period (strict-mode telemetry rejection,
+            # carry-forward with no history) is a terminal service failure —
+            # record it before propagating so the operator sees *why* the
+            # loop stopped.
             self.log.record(
                 k, "service", "error", f"{type(error).__name__}: {error}"
             )
             raise
-        horizon = effective_horizon(self.config.window, k, self.num_steps)
-        step = self._ladder_solve(k, horizon)
         if step.imputed_demand is not None or step.imputed_prices is not None:
             repaired = int(
                 (0 if step.imputed_demand is None else step.imputed_demand.sum())
@@ -382,24 +342,6 @@ class PlacementService:
             self.log.record(
                 k, "service", "imputed", f"carried forward {repaired} entries"
             )
-
-        self._states.append(step.new_state)
-        self._controls.append(step.applied_control)
-
-        self.router.update_allocation(step.new_state)
-        decision = self.router.route(scenario.demand[:, k + 1])
-        self._decisions.append(decision)
-        self.metrics.record_period(
-            allocation=step.new_state,
-            control=step.applied_control,
-            prices=scenario.prices[:, k + 1],
-            recon_weights=scenario.instance.reconfiguration_weights,
-            assignment=decision.assignment,
-            latency=decision.latency,
-            unserved=float(decision.unserved.sum()),
-            sla_violated=not decision.all_sla_satisfied,
-        )
-        self._period = k + 1
 
     def _sparse_settings(self) -> QPSettings:
         base = self.config.qp_settings

@@ -8,22 +8,19 @@
 * :mod:`repro.simulation.metrics` — cost/latency/reconfiguration metric
   collection and summaries.
 * :mod:`repro.simulation.engine` — the full closed-loop engine with
-  request routers in the loop.
+  request routers in the loop (the period kernel of
+  :mod:`repro.control.loop` with every Figure 2 component plugged in).
 * :mod:`repro.simulation.queue_sim` — event-driven queue simulation that
   validates the analytical M/M/1 layer empirically.
-* :mod:`repro.simulation.failures` — data-center outage injection and the
-  failure-aware closed loop.
+* :mod:`repro.simulation.failures` — data-center outage events and the
+  capacity schedule ``run_closed_loop(..., outages=...)`` plans against.
 """
 
 from repro.simulation.scenario import Scenario, build_paper_scenario, build_small_scenario
 from repro.simulation.monitoring import MonitoringModule, Observation
 from repro.simulation.metrics import MetricsCollector, RunSummary
 from repro.simulation.engine import SimulationEngine, SimulationResult
-from repro.simulation.failures import (
-    OutageEvent,
-    capacity_schedule,
-    run_closed_loop_with_failures,
-)
+from repro.simulation.failures import OutageEvent, capacity_schedule
 from repro.simulation.queue_sim import (
     EmpiricalSLAResult,
     QueueSimResult,
@@ -47,7 +44,6 @@ __all__ = [
     "SimulationResult",
     "OutageEvent",
     "capacity_schedule",
-    "run_closed_loop_with_failures",
     "EmpiricalSLAResult",
     "QueueSimResult",
     "effective_sample_size",

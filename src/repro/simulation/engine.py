@@ -7,25 +7,28 @@ allocation to the request router, which (4) splits the *next* period's
 realized demand and reports latency/SLA outcomes, all of which feed the
 metrics collector.
 
-This is the architecture-faithful superset of
-:func:`repro.control.loop.run_closed_loop` (which skips routing); the two
-agree on costs, which an integration test pins down.
+Each period is a :class:`repro.control.loop.PeriodKernel` period with
+``controller.plan`` as the solve: :func:`repro.control.loop.run_closed_loop`
+runs the same kernel without the router, so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, TypeVar
 
 import numpy as np
 
-from repro.control.horizon import effective_horizon
+from repro.control.loop import PeriodKernel
 from repro.control.mpc import MPCController
 from repro.routing.router import RequestRouter, RoutingDecision
 from repro.simulation.metrics import MetricsCollector, RunSummary
 from repro.simulation.monitoring import MonitoringModule
 from repro.simulation.scenario import Scenario
 
-__all__ = ["SimulationResult", "SimulationEngine"]
+__all__ = ["SimulationResult", "SimulationEngine", "scenario_kernel"]
+
+_Result = TypeVar("_Result", bound="SimulationResult")
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,54 @@ class SimulationResult:
     routing: tuple[RoutingDecision, ...]
     monitoring: MonitoringModule
 
+    @classmethod
+    def from_kernel(cls: type[_Result], kernel: PeriodKernel, **extra: Any) -> _Result:
+        """Assemble the result of the periods ``kernel`` has run so far.
+
+        ``kernel`` must carry monitoring and metrics (see
+        :func:`scenario_kernel`); ``extra`` fills a subclass's own fields.
+        """
+        assert kernel.monitoring is not None and kernel.metrics is not None
+        states, controls, _ = kernel.trajectory()
+        return cls(
+            summary=kernel.metrics.summary(),
+            states=states,
+            controls=controls,
+            routing=tuple(kernel.decisions),
+            monitoring=kernel.monitoring,
+            **extra,
+        )
+
+
+def scenario_kernel(scenario: Scenario, controller: MPCController) -> PeriodKernel:
+    """The period kernel of a scenario run, all Figure 2 components in it.
+
+    Raises:
+        ValueError: if ``controller`` was built for other sites.
+    """
+    instance = scenario.instance
+    if controller.instance.datacenters != instance.datacenters:
+        raise ValueError("controller and scenario disagree on data centers")
+    if controller.instance.locations != instance.locations:
+        raise ValueError("controller and scenario disagree on locations")
+    return PeriodKernel(
+        controller,
+        scenario.demand,
+        scenario.prices,
+        monitoring=MonitoringModule(
+            num_locations=instance.num_locations,
+            num_datacenters=instance.num_datacenters,
+        ),
+        # The SLA policy works in seconds; the topology layer reports ms.
+        router=RequestRouter(
+            network_latency=scenario.latency.latency_ms * 1e-3,
+            demand_coefficients=instance.demand_coefficients,
+            service_rate=scenario.sla.service_rate,
+            max_latency=scenario.sla.max_latency,
+        ),
+        metrics=MetricsCollector(),
+    )
+
 
 class SimulationEngine:
     """Glues controller, router, monitoring and metrics over a scenario.
@@ -56,79 +107,14 @@ class SimulationEngine:
             (its predictors define the analysis-and-prediction module).
     """
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        controller: MPCController,
-    ) -> None:
-        instance = scenario.instance
-        if controller.instance.datacenters != instance.datacenters:
-            raise ValueError("controller and scenario disagree on data centers")
-        if controller.instance.locations != instance.locations:
-            raise ValueError("controller and scenario disagree on locations")
+    def __init__(self, scenario: Scenario, controller: MPCController) -> None:
         self.scenario = scenario
         self.controller = controller
-        self.monitoring = MonitoringModule(
-            num_locations=instance.num_locations,
-            num_datacenters=instance.num_datacenters,
-        )
-        # The SLA policy works in seconds; the topology layer reports ms.
-        self.router = RequestRouter(
-            network_latency=scenario.latency.latency_ms * 1e-3,
-            demand_coefficients=instance.demand_coefficients,
-            service_rate=scenario.sla.service_rate,
-            max_latency=scenario.sla.max_latency,
-        )
-        self.metrics = MetricsCollector()
+        self.kernel = scenario_kernel(scenario, controller)
 
     def run(self) -> SimulationResult:
-        """Run the whole scenario horizon.
-
-        Returns:
-            The :class:`SimulationResult`.
-        """
-        demand = self.scenario.demand
-        prices = self.scenario.prices
-        K = self.scenario.num_periods
-        num_steps = K - 1
-        instance = self.controller.instance
-        L, V = instance.num_datacenters, instance.num_locations
-
-        states = np.empty((num_steps, L, V))
-        controls = np.empty((num_steps, L, V))
-        decisions: list[RoutingDecision] = []
-
-        for k in range(num_steps):
-            self.monitoring.record(demand[:, k], prices[:, k])
-            observation = self.monitoring.latest
-            horizon = effective_horizon(
-                self.controller.config.window, k, num_steps
-            )
-            step = self.controller.step(
-                observation.demand, observation.prices, horizon=horizon
-            )
-            states[k] = step.new_state
-            controls[k] = step.applied_control
-
-            self.router.update_allocation(step.new_state)
-            decision = self.router.route(demand[:, k + 1])
-            decisions.append(decision)
-
-            self.metrics.record_period(
-                allocation=step.new_state,
-                control=step.applied_control,
-                prices=prices[:, k + 1],
-                recon_weights=instance.reconfiguration_weights,
-                assignment=decision.assignment,
-                latency=decision.latency,
-                unserved=float(decision.unserved.sum()),
-                sla_violated=not decision.all_sla_satisfied,
-            )
-
-        return SimulationResult(
-            summary=self.metrics.summary(),
-            states=states,
-            controls=controls,
-            routing=tuple(decisions),
-            monitoring=self.monitoring,
-        )
+        """Run the whole scenario horizon."""
+        kernel, controller = self.kernel, self.controller
+        while kernel.period < kernel.num_steps:
+            kernel.run_period(lambda k, horizon: controller.plan(horizon))
+        return SimulationResult.from_kernel(kernel)

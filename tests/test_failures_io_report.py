@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.control.horizon import effective_horizon
+from repro.control.loop import run_closed_loop
 from repro.control.mpc import MPCConfig, MPCController
 from repro.core.instance import DSPPInstance
 from repro.io import load_scenario, save_scenario
@@ -15,11 +16,7 @@ from repro.prediction.ensemble import BestRecentEnsemble, MeanEnsemble
 from repro.prediction.naive import LastValuePredictor
 from repro.prediction.oracle import OraclePredictor
 from repro.report import ReportOptions, _markdown_table
-from repro.simulation.failures import (
-    OutageEvent,
-    capacity_schedule,
-    run_closed_loop_with_failures,
-)
+from repro.simulation.failures import OutageEvent, capacity_schedule
 from repro.simulation.scenario import build_paper_scenario, build_small_scenario
 
 
@@ -122,16 +119,16 @@ class TestFailureLoop:
 
     def test_no_outage_matches_plain_loop_service(self, setup):
         instance, demand, prices = setup
-        result = run_closed_loop_with_failures(
-            self._controller(instance, demand, prices), demand, prices, []
+        result = run_closed_loop(
+            self._controller(instance, demand, prices), demand, prices, outages=[]
         )
         assert result.total_unmet_demand == pytest.approx(0.0, abs=1e-5)
 
     def test_outage_moves_load_to_survivor(self, setup):
         instance, demand, prices = setup
         outage = OutageEvent(0, start_period=4, duration=3, remaining_fraction=0.0)
-        result = run_closed_loop_with_failures(
-            self._controller(instance, demand, prices), demand, prices, [outage]
+        result = run_closed_loop(
+            self._controller(instance, demand, prices), demand, prices, outages=[outage]
         )
         servers = result.servers_per_datacenter()  # (K-1, L)
         # During the outage (serving periods 4..6) DC a holds nothing and
@@ -150,16 +147,16 @@ class TestFailureLoop:
             OutageEvent(0, 4, 2, remaining_fraction=0.0),
             OutageEvent(1, 4, 2, remaining_fraction=0.0),
         ]
-        result = run_closed_loop_with_failures(
-            self._controller(instance, demand, prices), demand, prices, outages
+        result = run_closed_loop(
+            self._controller(instance, demand, prices), demand, prices, outages=outages
         )
         assert result.unmet_demand[3].sum() > 100.0
 
     def test_partial_outage_degrades_gracefully(self, setup):
         instance, demand, prices = setup
         outage = OutageEvent(0, 4, 2, remaining_fraction=0.5)
-        result = run_closed_loop_with_failures(
-            self._controller(instance, demand, prices), demand, prices, [outage]
+        result = run_closed_loop(
+            self._controller(instance, demand, prices), demand, prices, outages=[outage]
         )
         servers = result.servers_per_datacenter()
         assert servers[3, 0] <= 15.0 + 1e-6  # half of 30
@@ -168,23 +165,49 @@ class TestFailureLoop:
         instance, demand, prices = setup
         controller = self._controller(instance, demand, prices)
         with pytest.raises(ValueError, match=r"demand must be \(1, K\)"):
-            run_closed_loop_with_failures(
-                controller, np.vstack([demand, demand]), prices, []
+            run_closed_loop(
+                controller, np.vstack([demand, demand]), prices, outages=[]
             )
 
     def test_rejects_mismatched_prices(self, setup):
         instance, demand, prices = setup
         controller = self._controller(instance, demand, prices)
         with pytest.raises(ValueError, match="prices must be"):
-            run_closed_loop_with_failures(controller, demand, prices[:, :-1], [])
+            run_closed_loop(controller, demand, prices[:, :-1], outages=[])
+
+    def test_rejects_single_period(self, setup):
+        instance, demand, prices = setup
+        controller = self._controller(instance, demand, prices)
+        with pytest.raises(ValueError, match="at least 2 periods"):
+            run_closed_loop(
+                controller, demand[:, :1], prices[:, :1], outages=[OutageEvent(0, 0, 1)]
+            )
+
+    def test_capacities_swapped_only_when_the_schedule_changes(self, setup, monkeypatch):
+        instance, demand, prices = setup
+        controller = self._controller(instance, demand, prices)
+        calls = []
+        original = controller.set_capacities
+
+        def counting(capacities):
+            calls.append(np.array(capacities))
+            original(capacities)
+
+        monkeypatch.setattr(controller, "set_capacities", counting)
+        outage = OutageEvent(0, start_period=4, duration=3, remaining_fraction=0.0)
+        run_closed_loop(controller, demand, prices, outages=[outage])
+        # Into the outage and back out: two swaps over nine periods.
+        assert len(calls) == 2
+        assert calls[0][0] == pytest.approx(1e-9)
+        np.testing.assert_array_equal(calls[1], instance.capacities)
 
     def test_full_outage_evicts_stranded_servers(self, setup):
         # Servers standing at a fully failed site must not survive into the
         # planned state: during the outage the failed DC's row is (near) zero.
         instance, demand, prices = setup
         outage = OutageEvent(0, 3, 3, remaining_fraction=0.0)
-        result = run_closed_loop_with_failures(
-            self._controller(instance, demand, prices), demand, prices, [outage]
+        result = run_closed_loop(
+            self._controller(instance, demand, prices), demand, prices, outages=[outage]
         )
         states = result.trajectory.states
         assert states[1, 0].sum() > 1.0  # DC 0 carries load before the outage
@@ -194,8 +217,8 @@ class TestFailureLoop:
     def test_capacity_recovers_after_outage(self, setup):
         instance, demand, prices = setup
         outage = OutageEvent(0, 3, 2, remaining_fraction=0.0)
-        result = run_closed_loop_with_failures(
-            self._controller(instance, demand, prices), demand, prices, [outage]
+        result = run_closed_loop(
+            self._controller(instance, demand, prices), demand, prices, outages=[outage]
         )
         # After recovery the cheap DC is used again and demand is met.
         assert result.trajectory.states[-1, 0].sum() > 1.0
@@ -268,11 +291,11 @@ class TestWarmOutageLoop:
         instance = scenario.instance
         # Data center 1 carries load when it fails, so servers are evicted.
         outages = [OutageEvent(1, start_period=5, duration=3, remaining_fraction=0.0)]
-        warm = run_closed_loop_with_failures(
+        warm = run_closed_loop(
             self._controller(instance, make_predictor),
             scenario.demand,
             scenario.prices,
-            outages,
+            outages=outages,
         )
         steps, states = _reset_and_refeed(
             self._controller(instance, make_predictor),
@@ -293,8 +316,8 @@ class TestWarmOutageLoop:
         instance = scenario.instance
         controller = self._controller(instance, _last_value)
         outages = [OutageEvent(1, start_period=4, duration=4, remaining_fraction=0.0)]
-        result = run_closed_loop_with_failures(
-            controller, scenario.demand, scenario.prices, outages
+        result = run_closed_loop(
+            controller, scenario.demand, scenario.prices, outages=outages
         )
         # One structure per distinct horizon (3, 2, 1): capacity swaps and
         # evictions are vector-only updates of the same workspace.

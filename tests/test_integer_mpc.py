@@ -9,7 +9,10 @@ from repro.control.integer_mpc import IntegerMPCController
 from repro.control.loop import run_closed_loop
 from repro.control.mpc import MPCConfig, MPCController
 from repro.core.instance import DSPPInstance
+from repro.prediction.naive import LastValuePredictor
 from repro.prediction.oracle import OraclePredictor
+from repro.simulation.engine import SimulationEngine
+from repro.simulation.scenario import build_small_scenario
 
 
 @pytest.fixture
@@ -106,3 +109,43 @@ class TestIntegerMPC:
         assert second.new_state == pytest.approx(
             first.new_state + second.applied_control
         )
+
+
+class TestIntegerStatesOnEveryPath:
+    """The rounding lives in ``plan()``, so every driver that observes and
+    plans separately (the period kernel, the service ladder) applies
+    integer states, not only ``step()``."""
+
+    def test_observe_then_plan_is_integral(self, instance):
+        demand, prices = _traces()
+        controller = IntegerMPCController(
+            instance,
+            OraclePredictor(demand),
+            OraclePredictor(prices),
+            MPCConfig(window=3),
+        )
+        before = controller.state
+        controller.observe(demand[:, 0], prices[:, 0])
+        step = controller.plan()
+        np.testing.assert_array_equal(step.new_state, np.round(step.new_state))
+        np.testing.assert_array_equal(controller.state, step.new_state)
+        np.testing.assert_array_equal(step.applied_control, step.new_state - before)
+
+    def test_run_closed_loop_and_engine_are_integral(self):
+        scenario = build_small_scenario(num_periods=8, seed=1)
+        instance = scenario.instance
+
+        def controller():
+            return IntegerMPCController(
+                instance,
+                LastValuePredictor(instance.num_locations),
+                LastValuePredictor(instance.num_datacenters),
+                MPCConfig(window=3, slack_penalty=1e3),
+            )
+
+        looped = run_closed_loop(controller(), scenario.demand, scenario.prices)
+        engine = SimulationEngine(scenario, controller()).run()
+        for states in (looped.trajectory.states, engine.states):
+            np.testing.assert_array_equal(states, np.round(states))
+        np.testing.assert_array_equal(looped.trajectory.states, engine.states)
+        np.testing.assert_array_equal(looped.trajectory.controls, engine.controls)
