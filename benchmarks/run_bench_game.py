@@ -4,11 +4,12 @@ Times Algorithm 2 (iterative best response with dual quota coordination)
 and the closed-loop W-MPC game at paper / xlarge / continental scale,
 across N ∈ {2, 4, 8} providers:
 
-* **serial cold** — the seed behaviour: every coordination round solves
-  every provider's sub-problem from scratch, one after the other
-  (``reuse_workspaces=False``, no pool — exactly what
-  ``compute_equilibrium`` defaulted to and ``run_mpc_game`` always did
-  before the pool existed);
+* **serial cold** — the pre-pool behaviour: every coordination round
+  solves every provider's sub-problem from scratch, one after the other
+  (a local loop of :class:`repro.solvers.dual.QuotaCoordinator` plus
+  workspace-less :func:`repro.core.dspp.solve_dspp` calls — what
+  ``compute_equilibrium`` and ``run_mpc_game`` did before the pool
+  existed);
 * **serial warm** — the inline pool at ``jobs=1``: one persistent
   :class:`repro.core.dspp.DSPPWorkspace` per provider, so every round
   after the first is a vector-only quota swap against a cached
@@ -51,10 +52,13 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.control.horizon import effective_horizon, forecast_window
+from repro.core.dspp import DEFAULT_QP_SETTINGS, DSPPSolution, solve_dspp
 from repro.core.instance import DSPPInstance
 from repro.game.best_response import BestResponseConfig, compute_equilibrium
 from repro.game.mpc_game import MPCGameConfig, run_mpc_game
 from repro.game.players import ServiceProvider
+from repro.solvers.dual import QuotaCoordinator
 from repro.solvers.qp import QPSettings
 
 __all__ = ["main"]
@@ -88,12 +92,12 @@ SCALE_PLAYERS: dict[str, tuple[int, ...]] = {
     "continental": (2,),
 }
 
-# Scale-appropriate solver settings, pinned explicitly so the cold and
-# warm paths solve with identical settings (solve_dspp and DSPPWorkspace
-# have different *defaults*).  The sparse scales ride the sparsified
-# banded backend, same as the solver benchmark at those scales.
+# Scale-appropriate solver settings, shared by the cold and warm paths.
+# The paper scale uses the DSPP default, which solve_dspp applies with or
+# without a workspace; the sparse scales ride the sparsified banded
+# backend, same as the solver benchmark at those scales.
 SCALE_SETTINGS: dict[str, QPSettings] = {
-    "paper": QPSettings(early_polish=True),
+    "paper": DEFAULT_QP_SETTINGS,
     "xlarge": QPSettings(early_polish=True, kkt_backend="banded", sparsify_columns="on"),
     "continental": QPSettings(
         early_polish=True, kkt_backend="banded", sparsify_columns="on"
@@ -161,15 +165,92 @@ def _providers(
     return providers, capacity
 
 
-def _equilibrium_config(scale: str, rounds: int, reuse: bool) -> BestResponseConfig:
+def _equilibrium_config(scale: str, rounds: int) -> BestResponseConfig:
     # epsilon is effectively unreachable, so every variant runs exactly
     # ``rounds`` rounds — identical solve sequences, comparable times.
     return BestResponseConfig(
-        epsilon=1e-12,
-        max_iterations=rounds,
-        qp_settings=SCALE_SETTINGS[scale],
-        reuse_workspaces=reuse,
+        epsilon=1e-12, max_iterations=rounds, qp_settings=SCALE_SETTINGS[scale]
     )
+
+
+def _cold_round(
+    providers: list[ServiceProvider],
+    quotas: np.ndarray,
+    problems: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    config: BestResponseConfig | MPCGameConfig,
+) -> list[DSPPSolution]:
+    """One best-response round solved from scratch, provider by provider;
+    ``problems[i]`` is provider ``i``'s (state, demand, prices)."""
+    return [
+        solve_dspp(
+            provider.instance.with_capacities(quotas[i]).with_initial_state(state),
+            demand,
+            prices,
+            settings=config.qp_settings,
+            demand_slack_penalty=config.slack_penalty,
+        )
+        for i, (provider, (state, demand, prices)) in enumerate(zip(providers, problems))
+    ]
+
+
+def _summed_duals(solutions: list[DSPPSolution]) -> np.ndarray:
+    return np.stack([solution.capacity_duals.sum(axis=0) for solution in solutions])
+
+
+def _cold_equilibrium(
+    providers: list[ServiceProvider], capacity: np.ndarray, config: BestResponseConfig
+) -> float:
+    """Algorithm 2 as it ran before the pool; returns the final total cost."""
+    coordinator = QuotaCoordinator(capacity, len(providers), step_size=config.step_size)
+    quotas = coordinator.quotas.copy()
+    problems = [(p.instance.initial_state, p.demand, p.prices) for p in providers]
+    previous_total = np.inf
+    total = np.inf
+    for _ in range(config.max_iterations):
+        solutions = _cold_round(providers, quotas, problems, config)
+        total = sum(float(solution.objective) for solution in solutions)
+        if np.isfinite(previous_total) and abs(total - previous_total) <= config.epsilon * abs(
+            previous_total
+        ):
+            break
+        previous_total = total
+        quotas = coordinator.update(_summed_duals(solutions)).quotas
+    return total
+
+
+def _cold_mpc_game(
+    providers: list[ServiceProvider], capacity: np.ndarray, config: MPCGameConfig
+) -> float:
+    """The closed-loop game (oracle windows, common window) as it ran
+    before the pool; returns the realized total cost."""
+    assert isinstance(config.window, int)
+    coordinator = QuotaCoordinator(capacity, len(providers), step_size=config.step_size)
+    states = [p.instance.initial_state.copy() for p in providers]
+    num_steps = providers[0].horizon - 1
+    realized = np.zeros(len(providers))
+    for k in range(num_steps):
+        window = effective_horizon(config.window, k, num_steps)
+        problems = [
+            (
+                states[i],
+                forecast_window(p.demand, k + 1, window),
+                forecast_window(p.prices, k + 1, window),
+            )
+            for i, p in enumerate(providers)
+        ]
+        quotas = coordinator.quotas.copy()
+        for _ in range(config.coordination_rounds):
+            solutions = _cold_round(providers, quotas, problems, config)
+            quotas = coordinator.update(_summed_duals(solutions)).quotas
+        for i, (provider, solution) in enumerate(zip(providers, solutions)):
+            control = solution.first_control
+            states[i] = np.maximum(states[i] + control, 0.0)
+            holding = float(states[i].sum(axis=1) @ provider.prices[:, k + 1])
+            recon = float(
+                provider.instance.reconfiguration_weights @ (control**2).sum(axis=1)
+            )
+            realized[i] += holding + recon
+    return float(realized.sum())
 
 
 def _bitwise_equal(a, b) -> bool:
@@ -192,26 +273,24 @@ def bench_equilibrium(scale: str, num_providers: int, seed: int = 0) -> dict[str
     providers, capacity = _providers(scale, num_providers, seed)
     jobs_grid = _jobs_grid(num_providers)
 
+    config = _equilibrium_config(scale, rounds)
+
     cold_ms: float | None = None
     cold_cost: float | None = None
     if scale not in _SKIP_COLD:
         start = time.perf_counter()
-        cold = compute_equilibrium(
-            providers, capacity, _equilibrium_config(scale, rounds, reuse=False)
-        )
+        cold_cost = _cold_equilibrium(providers, capacity, config)
         cold_ms = 1e3 * (time.perf_counter() - start) / rounds
-        cold_cost = cold.total_cost
 
-    warm_config = _equilibrium_config(scale, rounds, reuse=True)
     start = time.perf_counter()
-    warm = compute_equilibrium(providers, capacity, warm_config, jobs=1)
+    warm = compute_equilibrium(providers, capacity, config, jobs=1)
     warm_ms = 1e3 * (time.perf_counter() - start) / rounds
 
     sharded_ms: float | None = None
     bitwise = True
     for jobs in jobs_grid:
         start = time.perf_counter()
-        sharded = compute_equilibrium(providers, capacity, warm_config, jobs=jobs)
+        sharded = compute_equilibrium(providers, capacity, config, jobs=jobs)
         elapsed_ms = 1e3 * (time.perf_counter() - start) / rounds
         if jobs == max(jobs_grid, default=1):
             sharded_ms = elapsed_ms
@@ -269,33 +348,24 @@ def bench_mpc_game(
         window=min(3, W),
         coordination_rounds=rounds,
         qp_settings=SCALE_SETTINGS[scale],
-        reuse_workspaces=False,
     )
     start = time.perf_counter()
-    cold = run_mpc_game(extended, capacity, config, jobs=1)
+    cold_cost = _cold_mpc_game(extended, capacity, config)
     cold_ms = 1e3 * (time.perf_counter() - start) / num_steps
 
-    warm_config = MPCGameConfig(
-        window=min(3, W),
-        coordination_rounds=rounds,
-        qp_settings=SCALE_SETTINGS[scale],
-        reuse_workspaces=True,
-    )
     start = time.perf_counter()
-    warm = run_mpc_game(extended, capacity, warm_config, jobs=1)
+    warm = run_mpc_game(extended, capacity, config, jobs=1)
     warm_serial_ms = 1e3 * (time.perf_counter() - start) / num_steps
 
     start = time.perf_counter()
-    pooled = run_mpc_game(extended, capacity, warm_config, jobs=num_providers)
+    pooled = run_mpc_game(extended, capacity, config, jobs=num_providers)
     pooled_ms = 1e3 * (time.perf_counter() - start) / num_steps
 
     bitwise = warm.total_cost == pooled.total_cost and all(
         np.array_equal(pa.quotas, pb.quotas) and np.array_equal(pa.states, pb.states)
         for pa, pb in zip(warm.periods, pooled.periods)
     )
-    cost_rel_diff = abs(warm.total_cost - cold.total_cost) / max(
-        abs(cold.total_cost), 1e-12
-    )
+    cost_rel_diff = abs(warm.total_cost - cold_cost) / max(abs(cold_cost), 1e-12)
     return {
         "num_providers": num_providers,
         "num_steps": num_steps,

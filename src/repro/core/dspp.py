@@ -26,7 +26,25 @@ from repro.core.state import Trajectory
 from repro.solvers.qp import QPSettings, QPSolution, QPStatus, solve_qp
 from repro.solvers.workspace import QPWorkspace
 
-__all__ = ["DSPPInfeasibleError", "DSPPSolution", "DSPPWorkspace", "solve_dspp"]
+__all__ = [
+    "DEFAULT_QP_SETTINGS",
+    "DSPPInfeasibleError",
+    "DSPPSolution",
+    "DSPPWorkspace",
+    "resolve_qp_settings",
+    "solve_dspp",
+]
+
+# Solver settings of every DSPP solve that is given none, with or without
+# a workspace.  Verified early polishing lets ADMM hand over to the exact
+# active-set solve as soon as the polished result meets the *strict*
+# tolerances, so accuracy is unchanged.
+DEFAULT_QP_SETTINGS = QPSettings(early_polish=True)
+
+
+def resolve_qp_settings(settings: QPSettings | None) -> QPSettings:
+    """``settings``, or :data:`DEFAULT_QP_SETTINGS` when it is ``None``."""
+    return DEFAULT_QP_SETTINGS if settings is None else settings
 
 
 class DSPPInfeasibleError(RuntimeError):
@@ -100,13 +118,7 @@ class DSPPWorkspace:
             )
         T = demand.shape[1]
         elastic = demand_slack_penalty is not None
-        # The workspace hot path enables verified early polishing by
-        # default: ADMM may hand over to the exact active-set solve as soon
-        # as the polished result meets the *strict* tolerances, so accuracy
-        # is unchanged.  Caller-provided settings are honoured verbatim.
-        effective_settings = (
-            settings if settings is not None else QPSettings(early_polish=True)
-        )
+        effective_settings = resolve_qp_settings(settings)
 
         # Column sparsification is resolved per solve against the *current*
         # instance (the exactness precondition involves the initial state);
@@ -144,19 +156,7 @@ class DSPPWorkspace:
         qp_solution = self._qp.solve(
             warm_start=warm_start, reuse_iterates=reuse_iterates
         )
-        stacked = StackedQP(
-            P=structure.P,
-            q=q,
-            A=structure.A,
-            l=l,
-            u=u,
-            indexer=structure.indexer,
-            constant_cost=0.0,
-            demand_row_offset=structure.demand_row_offset,
-            capacity_row_offset=structure.capacity_row_offset,
-            nonneg_row_offset=structure.nonneg_row_offset,
-        )
-        return stacked, qp_solution
+        return structure.stack(q, l, u), qp_solution
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,8 @@ def solve_dspp(
         instance: static problem data, including the current state ``x_0``.
         demand: forecast demand for periods ``1..T``, shape ``(V, T)``.
         prices: per-server prices for periods ``1..T``, shape ``(L, T)``.
-        settings: QP solver settings (defaults are tuned for DSPP scale).
+        settings: QP solver settings (``None``: :data:`DEFAULT_QP_SETTINGS`,
+            with or without a workspace).
         warm_start: previous same-shaped QP solution (receding-horizon
             solves are nearly identical period over period, so warm starts
             cut iterations dramatically).
@@ -250,27 +251,17 @@ def solve_dspp(
             reuse_iterates=reuse_iterates,
         )
     else:
-        elastic = demand_slack_penalty is not None
-        sparsify = resolve_sparsify(
-            instance, (settings or QPSettings()).sparsify_columns
-        )
+        settings = resolve_qp_settings(settings)
         structure = build_qp_structure(
-            instance, np.asarray(demand).shape[1], elastic=elastic, sparsify=sparsify
+            instance,
+            np.asarray(demand).shape[1],
+            elastic=demand_slack_penalty is not None,
+            sparsify=resolve_sparsify(instance, settings.sparsify_columns),
         )
-        q, l, u = build_qp_vectors(
-            structure, instance, demand, prices, demand_slack_penalty=demand_slack_penalty
-        )
-        stacked = StackedQP(
-            P=structure.P,
-            q=q,
-            A=structure.A,
-            l=l,
-            u=u,
-            indexer=structure.indexer,
-            constant_cost=0.0,
-            demand_row_offset=structure.demand_row_offset,
-            capacity_row_offset=structure.capacity_row_offset,
-            nonneg_row_offset=structure.nonneg_row_offset,
+        stacked = structure.stack(
+            *build_qp_vectors(
+                structure, instance, demand, prices, demand_slack_penalty=demand_slack_penalty
+            )
         )
         qp_solution = solve_qp(
             stacked.P,

@@ -397,6 +397,21 @@ class StackedQPStructure:
     fingerprint: tuple[object, ...]
     blocks: QPBlockView
 
+    def stack(self, q: np.ndarray, l: np.ndarray, u: np.ndarray) -> StackedQP:
+        """The :class:`StackedQP` of this structure and one step's vectors."""
+        return StackedQP(
+            P=self.P,
+            q=q,
+            A=self.A,
+            l=l,
+            u=u,
+            indexer=self.indexer,
+            constant_cost=0.0,
+            demand_row_offset=self.demand_row_offset,
+            capacity_row_offset=self.capacity_row_offset,
+            nonneg_row_offset=self.nonneg_row_offset,
+        )
+
 
 def structure_fingerprint(
     instance: DSPPInstance, num_steps: int, elastic: bool, sparsify: bool = False
@@ -767,18 +782,8 @@ def build_stacked_qp(
     T = demand.shape[1]
     elastic = demand_slack_penalty is not None
     structure = build_qp_structure(instance, T, elastic=elastic)
-    q, l_vec, u_vec = build_qp_vectors(
-        structure, instance, demand, prices, demand_slack_penalty=demand_slack_penalty
-    )
-    return StackedQP(
-        P=structure.P,
-        q=q,
-        A=structure.A,
-        l=l_vec,
-        u=u_vec,
-        indexer=structure.indexer,
-        constant_cost=0.0,
-        demand_row_offset=structure.demand_row_offset,
-        capacity_row_offset=structure.capacity_row_offset,
-        nonneg_row_offset=structure.nonneg_row_offset,
+    return structure.stack(
+        *build_qp_vectors(
+            structure, instance, demand, prices, demand_slack_penalty=demand_slack_penalty
+        )
     )

@@ -26,7 +26,9 @@ workspaces *where their providers are*:
   horizon;
 * at ``jobs=None``/``1`` no process is spawned at all: the same shard
   code runs inline, so serial semantics — and bitwise results — are
-  exactly those of a plain loop over :func:`~repro.core.dspp.solve_dspp`.
+  exactly those of a plain loop over :func:`~repro.core.dspp.solve_dspp`
+  with one workspace per provider.  A provider's first solve in a fresh
+  workspace is bitwise equal to a workspace-less ``solve_dspp``.
 
 Determinism: every provider is solved by exactly one shard with its own
 dedicated workspace, so the per-provider solve sequence is identical at
@@ -114,10 +116,6 @@ class PoolSettings:
             (``None``: each layer's defaults).
         slack_penalty: per-unit demand-shortfall penalty of the elastic
             sub-problems.
-        reuse_workspaces: keep one warm
-            :class:`~repro.core.dspp.DSPPWorkspace` per owned provider
-            for the lifetime of the pool (``False``: cold solves, the
-            pre-workspace behaviour).
         recv_timeout: seconds the coordinator waits for a worker's reply
             before declaring it dead (heartbeat window; generous — a
             healthy round is milliseconds).
@@ -131,7 +129,6 @@ class PoolSettings:
 
     qp_settings: QPSettings | None = None
     slack_penalty: float = 1e3
-    reuse_workspaces: bool = True
     recv_timeout: float = 60.0
     max_respawns: int = 1
     respawn_backoff: float = 0.05
@@ -194,11 +191,7 @@ class _Shard:
     ) -> None:
         self._owned = list(owned)
         self._settings = settings
-        self._workspaces: dict[int, DSPPWorkspace] = (
-            {index: DSPPWorkspace() for index, _ in self._owned}
-            if settings.reuse_workspaces
-            else {}
-        )
+        self._workspaces = {index: DSPPWorkspace() for index, _ in self._owned}
         # Per-provider problem overrides: (initial_state, demand, prices).
         # ``None`` components fall back to the provider's own data — the
         # full-trajectory semantics of ``compute_equilibrium``.
@@ -236,7 +229,7 @@ class _Shard:
                 provider.prices if prices is None else prices,
                 settings=self._settings.qp_settings,
                 demand_slack_penalty=self._settings.slack_penalty,
-                workspace=self._workspaces.get(index),
+                workspace=self._workspaces[index],
             )
             self._solutions[index] = solution
             reports.append(

@@ -18,9 +18,12 @@ deviating within the capacity left by the others (verified separately in
 
 The per-provider solves inside a round are independent, so each round
 fans out through a :class:`~repro.experiments.pool.ProviderPool` — a
-persistent, provider-affine worker pool whose warm workspaces survive
-the whole coordination run.  Pass ``jobs`` to shard across processes;
-results are bitwise identical at any job count (the
+persistent, provider-affine worker pool that keeps one warm
+:class:`~repro.core.dspp.DSPPWorkspace` per provider for the whole
+coordination run.  Quota updates only move the capacity bounds, so every
+round after the first is a vector-only ``update()`` against the cached
+factorization.  Pass ``jobs`` to shard across processes; results are
+bitwise identical at any job count (the
 ``sharded_equilibrium_equals_serial`` check in :mod:`repro.verify`
 enforces this).
 """
@@ -52,13 +55,6 @@ class BestResponseConfig:
             elastic sub-problem; must dominate any plausible server price
             so shortfall is a last resort.
         qp_settings: solver settings for the sub-problems.
-        reuse_workspaces: keep one
-            :class:`~repro.core.dspp.DSPPWorkspace` per provider for the
-            whole coordination run.  Quota updates only move the capacity
-            bounds, so every round after the first is a vector-only
-            ``update()`` against the cached factorization.  Default on —
-            the cold path (``False``) exists for differential testing.
-            See ``docs/PERFORMANCE.md``.
     """
 
     epsilon: float = 0.05
@@ -66,7 +62,6 @@ class BestResponseConfig:
     max_iterations: int = 200
     slack_penalty: float = 1e3
     qp_settings: QPSettings | None = None
-    reuse_workspaces: bool = True
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
@@ -79,9 +74,7 @@ class BestResponseConfig:
     def pool_settings(self) -> PoolSettings:
         """The per-worker solver configuration this config induces."""
         return PoolSettings(
-            qp_settings=self.qp_settings,
-            slack_penalty=self.slack_penalty,
-            reuse_workspaces=self.reuse_workspaces,
+            qp_settings=self.qp_settings, slack_penalty=self.slack_penalty
         )
 
 
@@ -130,7 +123,6 @@ def compute_equilibrium(
     config: BestResponseConfig | None = None,
     initial_quotas: np.ndarray | None = None,
     jobs: int | None = None,
-    pool: ProviderPool | None = None,
 ) -> BestResponseResult:
     """Run Algorithm 2 to a (near-)equilibrium.
 
@@ -147,13 +139,6 @@ def compute_equilibrium(
         jobs: worker processes to shard the per-round solves across
             (``None``/``1``: inline, no subprocess; ``0``: one per CPU).
             Results are bitwise identical at any job count.
-        pool: an already-open :class:`~repro.experiments.pool.ProviderPool`
-            over these providers to run the rounds on.  The caller keeps
-            ownership (the pool is left open), ``jobs`` is ignored, and
-            the pool's own :class:`~repro.experiments.pool.PoolSettings`
-            win over the solver fields of ``config`` — this is how
-            :func:`~repro.game.mpc_game.run_mpc_game` keeps one pool warm
-            across every period of the horizon.
 
     Returns:
         The :class:`BestResponseResult`.
@@ -172,19 +157,12 @@ def compute_equilibrium(
         coordinator.set_quotas(np.asarray(initial_quotas, dtype=float))
     quotas = coordinator.quotas.copy()
 
-    owns_pool = pool is None
-    if pool is None:
-        pool = ProviderPool(providers, jobs=jobs, settings=cfg.pool_settings())
-    elif pool.num_providers != len(providers):
-        raise ValueError(
-            f"pool holds {pool.num_providers} providers, got {len(providers)}"
-        )
-    try:
-        previous_total = np.inf
-        cost_history: list[float] = []
-        converged = False
-        round_result: RoundResult | None = None
-        iteration = 0
+    previous_total = np.inf
+    cost_history: list[float] = []
+    converged = False
+    round_result: RoundResult | None = None
+    iteration = 0
+    with ProviderPool(providers, jobs=jobs, settings=cfg.pool_settings()) as pool:
         for iteration in range(1, cfg.max_iterations + 1):
             round_result = pool.run_round(quotas)
             total = float(round_result.costs.sum())
@@ -198,9 +176,6 @@ def compute_equilibrium(
             quotas = coordinator.update(round_result.duals).quotas
         assert round_result is not None
         solutions = pool.solutions()
-    finally:
-        if owns_pool:
-            pool.close()
 
     return BestResponseResult(
         converged=converged,

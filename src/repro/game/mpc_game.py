@@ -28,10 +28,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.control.horizon import effective_horizon, forecast_window
+from repro.control.horizon import effective_horizon
 from repro.experiments.pool import PoolSettings, ProviderPool
+from repro.game.best_response import _validate_population
 from repro.game.players import ServiceProvider
 from repro.prediction.base import Predictor
+from repro.prediction.oracle import OraclePredictor
 from repro.solvers.dual import QuotaCoordinator
 from repro.solvers.qp import QPSettings
 
@@ -67,17 +69,10 @@ class MPCGameConfig:
             ``(provider_index, provider) -> (demand_predictor,
             price_predictor)``.  When set, each SP forecasts its windows
             from realized observations (the deployable configuration);
-            when ``None``, windows are read from the providers' own
-            future trajectories (oracle — isolates the game dynamics).
-        reuse_workspaces: keep one warm
-            :class:`~repro.core.dspp.DSPPWorkspace` per provider for the
-            whole horizon.  Between rounds only the quota bounds move and
-            between periods only the state/window vectors move, so almost
-            every solve after a provider's first is a vector-only
-            ``update()`` against its cached factorization (the structure
-            rebuilds only when the window shrinks near the end of the
-            horizon).  Default on — the cold path (``False``) exists for
-            differential testing.  See ``docs/PERFORMANCE.md``.
+            when ``None``, each SP gets an
+            :class:`~repro.prediction.oracle.OraclePredictor` pair over
+            its own demand and price trajectories (isolates the game
+            dynamics from prediction error).
     """
 
     window: int | tuple[int, ...] = 3
@@ -86,7 +81,6 @@ class MPCGameConfig:
     slack_penalty: float = 1e3
     qp_settings: QPSettings | None = None
     predictor_factory: PredictorFactory | None = None
-    reuse_workspaces: bool = True
 
     def __post_init__(self) -> None:
         windows = (
@@ -118,9 +112,7 @@ class MPCGameConfig:
     def pool_settings(self) -> PoolSettings:
         """The per-worker solver configuration this config induces."""
         return PoolSettings(
-            qp_settings=self.qp_settings,
-            slack_penalty=self.slack_penalty,
-            reuse_workspaces=self.reuse_workspaces,
+            qp_settings=self.qp_settings, slack_penalty=self.slack_penalty
         )
 
 
@@ -173,9 +165,10 @@ def run_mpc_game(
 ) -> MPCGameResult:
     """Run the W-MPC game over the providers' demand/price trajectories.
 
-    Oracle forecasts (each SP's own future demand/prices, as carried by
-    its :class:`ServiceProvider`) isolate the *game* dynamics from
-    prediction error; period ``k`` windows cover periods ``k+1..k+W``.
+    Every period each SP observes its realized demand and prices, then
+    forecasts its window with its predictor pair (by default an oracle
+    over its own trajectories, so period ``k`` windows are exactly
+    periods ``k+1..k+W``).
 
     Args:
         providers: the SPs (shared data centers, shared horizon ``K``).
@@ -190,14 +183,11 @@ def run_mpc_game(
         The :class:`MPCGameResult`.
 
     Raises:
-        ValueError: on inconsistent providers.
+        ValueError: on inconsistent providers (different horizons or data
+            centers).
     """
-    if not providers:
-        raise ValueError("need at least one provider")
-    horizons = {p.horizon for p in providers}
-    if len(horizons) != 1:
-        raise ValueError(f"providers disagree on horizon: {sorted(horizons)}")
-    K = horizons.pop()
+    _validate_population(providers)
+    K = providers[0].horizon
     if K < 2:
         raise ValueError("need at least 2 periods to run a closed loop")
     cfg = config or MPCGameConfig()
@@ -213,8 +203,12 @@ def run_mpc_game(
     worst_violation = 0.0
     records: list[MPCGamePeriod] = []
 
-    predictors: list[tuple[Predictor, Predictor] | None] = [None] * N
-    if cfg.predictor_factory is not None:
+    predictors: list[tuple[Predictor, Predictor]]
+    if cfg.predictor_factory is None:
+        predictors = [
+            (OraclePredictor(p.demand), OraclePredictor(p.prices)) for p in providers
+        ]
+    else:
         predictors = [
             cfg.predictor_factory(i, provider)
             for i, provider in enumerate(providers)
@@ -223,30 +217,19 @@ def run_mpc_game(
     num_steps = K - 1
     with ProviderPool(providers, jobs=jobs, settings=cfg.pool_settings()) as pool:
         for k in range(num_steps):
-            # Feed this period's observation to every predicting SP once.
-            for i, provider in enumerate(providers):
-                if predictors[i] is not None:
-                    demand_predictor, price_predictor = predictors[i]
-                    demand_predictor.observe(provider.demand[:, k])
-                    price_predictor.observe(provider.prices[:, k])
-
-            # Forecast every SP's window once per period: ``predict`` is
-            # pure, so the rounds within a period all see the same window.
+            # Every SP observes period ``k`` and forecasts its window once:
+            # ``predict`` is pure, so the rounds within a period all see
+            # the same window.
             demand_windows: list[np.ndarray] = []
             price_windows: list[np.ndarray] = []
-            for i, provider in enumerate(providers):
+            for i, (provider, (demand_predictor, price_predictor)) in enumerate(
+                zip(providers, predictors)
+            ):
+                demand_predictor.observe(provider.demand[:, k])
+                price_predictor.observe(provider.prices[:, k])
                 window = effective_horizon(cfg.window_for(i, N), k, num_steps)
-                if predictors[i] is not None:
-                    demand_predictor, price_predictor = predictors[i]
-                    demand_windows.append(demand_predictor.predict(window))
-                    price_windows.append(price_predictor.predict(window))
-                else:
-                    demand_windows.append(
-                        forecast_window(provider.demand, k + 1, window)
-                    )
-                    price_windows.append(
-                        forecast_window(provider.prices, k + 1, window)
-                    )
+                demand_windows.append(demand_predictor.predict(window))
+                price_windows.append(price_predictor.predict(window))
             pool.set_problems(
                 states=states, demands=demand_windows, prices=price_windows
             )

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.control.loop import PeriodKernel
 from repro.control.mpc import MPCConfig, MPCController, MPCStep
-from repro.core.dspp import DSPPInfeasibleError
+from repro.core.dspp import DSPPInfeasibleError, resolve_qp_settings
 from repro.prediction.ar import ARPredictor
 from repro.prediction.naive import LastValuePredictor
 from repro.service.checkpoint import load_latest, write_checkpoint
@@ -344,10 +344,7 @@ class PlacementService:
             )
 
     def _sparse_settings(self) -> QPSettings:
-        base = self.config.qp_settings
-        if base is None:
-            base = QPSettings(early_polish=True)
-        return replace(base, kkt_backend="sparse")
+        return replace(resolve_qp_settings(self.config.qp_settings), kkt_backend="sparse")
 
     def _ladder_solve(self, k: int, horizon: int) -> MPCStep:
         """Descend the degradation ladder until a rung terminates."""

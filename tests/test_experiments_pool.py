@@ -119,7 +119,7 @@ class TestRoundProtocol:
     def test_round_reports_match_direct_solves(self):
         providers, capacity = _population(num_providers=3)
         quotas = np.tile(capacity / 3, (3, 1))
-        settings = PoolSettings(reuse_workspaces=False)
+        settings = PoolSettings()
         with ProviderPool(providers, jobs=2, settings=settings) as pool:
             result = pool.run_round(quotas)
             controls = pool.first_controls()
@@ -163,15 +163,6 @@ class TestBitwiseIdentity:
             )
             _assert_equilibria_identical(serial, sharded)
 
-    def test_equilibrium_identical_without_workspace_reuse(self):
-        providers, capacity = _population(num_providers=3)
-        config = BestResponseConfig(
-            epsilon=1e-3, max_iterations=4, reuse_workspaces=False
-        )
-        serial = compute_equilibrium(providers, capacity, config, jobs=1)
-        sharded = compute_equilibrium(providers, capacity, config, jobs=2)
-        _assert_equilibria_identical(serial, sharded)
-
     def test_mpc_game_identical_at_any_jobs_count(self):
         providers, capacity = _population(num_providers=3, horizon=4)
         config = MPCGameConfig(window=2, coordination_rounds=2)
@@ -188,33 +179,6 @@ class TestBitwiseIdentity:
                 assert np.array_equal(pa.quotas, pb.quotas)
                 assert np.array_equal(pa.states, pb.states)
                 assert np.array_equal(pa.capacity_used, pb.capacity_used)
-
-
-class TestCallerOwnedPool:
-    def test_compute_equilibrium_leaves_external_pool_open(self):
-        providers, capacity = _population(num_providers=3)
-        config = BestResponseConfig(epsilon=1e-3, max_iterations=4)
-        with ProviderPool(
-            providers, jobs=2, settings=config.pool_settings()
-        ) as pool:
-            first = compute_equilibrium(providers, capacity, config, pool=pool)
-            # The pool must survive the call so its warm workspaces can be
-            # reused; the repeat run converges to the same equilibrium (to
-            # solver tolerance — warm iterates carry history, so this is
-            # deliberately not a bitwise comparison).
-            second = compute_equilibrium(providers, capacity, config, pool=pool)
-        assert second.total_cost == pytest.approx(first.total_cost, rel=1e-4)
-        assert second.quotas == pytest.approx(first.quotas, rel=1e-3, abs=1e-6)
-        # A fresh self-owned pool at the same jobs count is bitwise equal.
-        owned = compute_equilibrium(providers, capacity, config, jobs=2)
-        _assert_equilibria_identical(first, owned)
-
-    def test_pool_population_mismatch_rejected(self):
-        providers, capacity = _population(num_providers=3)
-        config = BestResponseConfig()
-        with ProviderPool(providers[:2], settings=config.pool_settings()) as pool:
-            with pytest.raises(ValueError, match="pool holds"):
-                compute_equilibrium(providers, capacity, config, pool=pool)
 
 
 class TestWorkerCrashRecovery:

@@ -11,6 +11,7 @@ from repro.game.best_response import (
 )
 from repro.game.efficiency import efficiency_ratio, verify_theorem1
 from repro.game.equilibrium import verify_equilibrium
+from repro.game.mpc_game import run_mpc_game
 from repro.game.players import ServiceProvider, random_providers
 from repro.game.swp import SWPInfeasibleError, solve_swp
 
@@ -105,6 +106,15 @@ class TestBestResponse:
         b = _population(1, horizon=4)
         with pytest.raises(ValueError, match="horizon"):
             compute_equilibrium([a[0], b[0]], np.ones(3))
+
+    @pytest.mark.parametrize("entry_point", [compute_equilibrium, run_mpc_game])
+    def test_rejects_providers_on_different_datacenters(self, entry_point):
+        rng = np.random.default_rng(0)
+        latency = rng.uniform(10.0, 60.0, size=(2, 2))
+        (a,) = random_providers(1, ("d0", "d1"), ("v0", "v1"), latency, 4, rng)
+        (b,) = random_providers(1, ("x0", "x1"), ("v0", "v1"), latency, 4, rng)
+        with pytest.raises(ValueError, match="same data centers"):
+            entry_point([a, b], np.full(2, 1e5))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -140,7 +140,7 @@ class TestEdgeCases:
             rng=rng,
         )[0]
         capacity = np.full(2, 1.5 * float(provider.servers_demanded().max()) / 2)
-        config = BestResponseConfig(reuse_workspaces=False)
+        config = BestResponseConfig()
         result = compute_equilibrium([provider], capacity, config)
         direct = solve_dspp(
             provider.instance.with_capacities(capacity),
