@@ -66,10 +66,15 @@ class DSPPWorkspace:
 
     Pass one to :func:`solve_dspp` via its ``workspace=`` argument.  The
     workspace re-validates the structure fingerprint on every solve and
-    transparently rebuilds itself when the structure genuinely changed
-    (different horizon, SLA matrix, reconfiguration weights, server size or
-    elastic mode) — capacity swaps and state advances never trigger a
-    rebuild.
+    rebuilds itself when the structure genuinely changed (different
+    horizon, SLA matrix, reconfiguration weights, server size or elastic
+    mode) — capacity swaps and state advances never trigger a rebuild.
+
+    A rebuild whose only change is a shorter horizon — the window clamped
+    over the last periods of a finite receding-horizon run — does not
+    start cold: the last certified active set, shifted one receding step
+    (:meth:`~repro.core.matrices.QPBlockView.shift_active_set`), seeds the
+    new solver's crossover, which certifies it or falls back to ADMM.
 
     Attributes:
         num_setups: structure (re)builds performed, each paying the full
@@ -131,7 +136,11 @@ class DSPPWorkspace:
             and self._structure.fingerprint == fingerprint
             and self._settings == effective_settings
         )
+        seed = None
         if not reusable:
+            seed = self._receding_active_set(
+                instance, T, elastic, sparsify, effective_settings
+            )
             self._structure = build_qp_structure(
                 instance, T, elastic=elastic, sparsify=sparsify
             )
@@ -153,10 +162,36 @@ class DSPPWorkspace:
                 settings=effective_settings,
                 blocks=structure.blocks,
             )
+            if seed is not None:
+                self._qp.seed_active_set(*seed)
         qp_solution = self._qp.solve(
             warm_start=warm_start, reuse_iterates=reuse_iterates
         )
         return structure.stack(q, l, u), qp_solution
+
+    def _receding_active_set(
+        self,
+        instance: DSPPInstance,
+        num_steps: int,
+        elastic: bool,
+        sparsify: bool,
+        settings: QPSettings,
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """The cached active set, shifted onto a ``num_steps`` horizon.
+
+        ``None`` unless the horizon is the only thing that changed since
+        the cached structure was built, and it shrank.
+        """
+        old = self._structure
+        masks = self._qp.active_set
+        if old is None or masks is None or self._settings != settings:
+            return None
+        old_steps = old.indexer.num_steps
+        if num_steps >= old_steps or old.fingerprint != structure_fingerprint(
+            instance, old_steps, elastic, sparsify=sparsify
+        ):
+            return None
+        return old.blocks.shift_active_set(*masks, num_steps)
 
 
 @dataclass(frozen=True)

@@ -322,6 +322,59 @@ class QPBlockView:
         offset = self.slack_row_offset
         return slice(offset + step * V, offset + (step + 1) * V)
 
+    def shift_active_set(
+        self, active_lower: np.ndarray, active_upper: np.ndarray, num_steps: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Carry an active set one receding step onto a shorter horizon.
+
+        The period after a solve over this view's ``T`` steps starts where
+        the old step 1 did.  When its horizon is clamped to
+        ``num_steps < T`` (the end of a finite run), old steps
+        ``1..num_steps`` of every row family — dynamics, demand,
+        capacity, nonnegativity and (elastic) slack — become the new
+        steps ``0..num_steps-1``.
+
+        Args:
+            active_lower: lower-bound mask over this view's rows, ``(m,)``.
+            active_upper: upper-bound mask over this view's rows, ``(m,)``.
+            num_steps: the shorter horizon, ``1 <= num_steps < T``.
+
+        Returns:
+            ``(active_lower, active_upper)`` over the rows of the same
+            layout at ``num_steps`` steps.
+
+        Raises:
+            ValueError: on a horizon that is not shorter, or masks that do
+                not match this view.
+        """
+        T = self.num_steps
+        if not 1 <= num_steps < T:
+            raise ValueError(f"num_steps must be in [1, {T}), got {num_steps}")
+        # Each family is T equal per-step blocks (the slack family is
+        # empty unless elastic).
+        bounds = (
+            self.dynamics_row_offset,
+            self.demand_row_offset,
+            self.capacity_row_offset,
+            self.nonneg_row_offset,
+            self.slack_row_offset,
+            self.num_constraints,
+        )
+
+        def shift(mask: np.ndarray) -> np.ndarray:
+            if mask.shape != (self.num_constraints,):
+                raise ValueError(
+                    f"mask must have shape ({self.num_constraints},), got {mask.shape}"
+                )
+            return np.concatenate(
+                [
+                    mask[start:stop].reshape(T, -1)[1 : num_steps + 1].reshape(-1)
+                    for start, stop in zip(bounds[:-1], bounds[1:])
+                ]
+            )
+
+        return shift(active_lower), shift(active_upper)
+
 
 @dataclass(frozen=True)
 class StackedQP:

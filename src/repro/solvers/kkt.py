@@ -27,6 +27,7 @@ __all__ = [
     "guess_active_set",
     "kkt_residuals",
     "polish_solution",
+    "regularized_kkt",
     "solve_active_set_system",
     "update_active_set",
 ]
@@ -130,11 +131,41 @@ def guess_active_set(
     return active_lower, active_upper
 
 
+def regularized_kkt(problem: QPProblem) -> sp.csc_matrix:
+    """The regularized KKT matrix over *every* constraint row.
+
+    ``[[P + reg*I, A'], [A, -reg*I]]`` depends only on ``P`` and ``A``, so
+    a caller that builds many active-set systems for one structure builds
+    this once and hands it to :func:`build_active_set_system`, which then
+    only slices out each active set's rows and columns.
+    """
+    n = problem.num_variables
+    m = problem.num_constraints
+    reg = _POLISH_REGULARIZATION
+    return sp.bmat(
+        [
+            [problem.P + reg * sp.identity(n, format="csc"), problem.A.T],
+            [problem.A, -reg * sp.identity(m, format="csc")],
+        ],
+        format="csc",
+    )
+
+
 @check_shapes("active_lower:(m,)", "active_upper:(m,)")
 def build_active_set_system(
-    problem: QPProblem, active_lower: np.ndarray, active_upper: np.ndarray
+    problem: QPProblem,
+    active_lower: np.ndarray,
+    active_upper: np.ndarray,
+    kkt: sp.csc_matrix | None = None,
 ) -> ActiveSetSystem | None:
     """Assemble and factorize the regularized KKT system for an active set.
+
+    Args:
+        problem: the QP whose ``P``/``A`` the system is built from.
+        active_lower: rows active at their lower bound, ``(m,)``.
+        active_upper: rows active at their upper bound, ``(m,)``.
+        kkt: :func:`regularized_kkt` of ``problem``, when the caller
+            caches it; built here otherwise.
 
     Returns:
         The factorized :class:`ActiveSetSystem`, or ``None`` if the active
@@ -143,23 +174,19 @@ def build_active_set_system(
     active = active_lower | active_upper
     if not np.any(active):
         return None
-    a_active = problem.A[active]
+    if kkt is None:
+        kkt = regularized_kkt(problem)
     n = problem.num_variables
-    k = a_active.shape[0]
-    reg = _POLISH_REGULARIZATION
-    kkt = sp.bmat(
-        [
-            [problem.P + reg * sp.identity(n, format="csc"), a_active.T],
-            [a_active, -reg * sp.identity(k, format="csc")],
-        ],
-        format="csc",
-    )
+    keep = np.concatenate([np.arange(n), n + np.flatnonzero(active)])
     try:
-        lu = spla.splu(kkt)
+        lu = spla.splu(kkt[keep][:, keep])
     except RuntimeError:
         return None
     return ActiveSetSystem(
-        active_lower=active_lower, active_upper=active_upper, lu=lu, a_active=a_active
+        active_lower=active_lower,
+        active_upper=active_upper,
+        lu=lu,
+        a_active=problem.A[active],
     )
 
 
@@ -230,19 +257,23 @@ def update_active_set(
     return active_lower, active_upper
 
 
-def polish_solution(problem: QPProblem, solution: QPSolution) -> QPSolution:
+def polish_solution(
+    problem: QPProblem, solution: QPSolution, kkt: sp.csc_matrix | None = None
+) -> QPSolution:
     """Refine an ADMM solution with one exact active-set KKT solve.
 
     Args:
         problem: the :class:`repro.solvers.qp.QPProblem` that was solved.
         solution: the :class:`repro.solvers.qp.QPSolution` to refine.
+        kkt: :func:`regularized_kkt` of ``problem``, if the caller caches
+            it (see :func:`build_active_set_system`).
 
     Returns:
         A new solution (``polished=True``) if the refinement improved the
         worst KKT residual, otherwise the input solution unchanged.
     """
     active_lower, active_upper = guess_active_set(problem, solution.x, solution.y)
-    system = build_active_set_system(problem, active_lower, active_upper)
+    system = build_active_set_system(problem, active_lower, active_upper, kkt=kkt)
     if system is None:
         return solution
     x_new, y_new = solve_active_set_system(problem, system)

@@ -664,7 +664,15 @@ def prop_horizon1_mpc_equals_myopic(
 def prop_workspace_resolve_equals_cold(
     rng: np.random.Generator, tier: ScaleTier
 ) -> list[Discrepancy]:
-    """DSPPWorkspace resolves (forecast/state/capacity updates) ≡ cold solves."""
+    """DSPPWorkspace resolves ≡ cold solves.
+
+    Between solves the problem takes either a vector-only step (new
+    forecasts, state or capacities) or a receding step onto a window one
+    period shorter, as at the end of a finite run: the forecasts lose
+    their first column and the state advances to the warm solve's first
+    state, so the workspace rebuilds and seeds its crossover with the
+    shifted active set.
+    """
     instance, demand, prices = _draw_problem(rng, tier, load=0.5)
     workspace = DSPPWorkspace()
     findings: list[Discrepancy] = []
@@ -683,6 +691,7 @@ def prop_workspace_resolve_equals_cold(
                 )
             )
         # Mutate only vector-resident data: forecasts, state, capacities.
+        solved_demand, solved_prices = demand, prices
         horizon = demand.shape[1]
         demand = random_demand(rng, instance, horizon, load=0.5)
         prices = random_prices(rng, instance, horizon)
@@ -691,6 +700,10 @@ def prop_workspace_resolve_equals_cold(
                 instance.capacities * rng.uniform(0.9, 1.2, size=instance.num_datacenters)
             )
         if rng.random() < 0.5:
+            instance = instance.with_initial_state(warm.trajectory.states[0])
+        if horizon > 1 and rng.random() < 0.5:
+            # Or recede onto a shorter window instead.
+            demand, prices = solved_demand[:, 1:], solved_prices[:, 1:]
             instance = instance.with_initial_state(warm.trajectory.states[0])
     return findings
 

@@ -8,9 +8,14 @@ import pytest
 from repro.control.horizon import effective_horizon, forecast_window
 from repro.control.loop import run_closed_loop
 from repro.control.mpc import MPCConfig, MPCController
+from repro.core.dspp import DSPPWorkspace, solve_dspp
 from repro.core.instance import DSPPInstance
+from repro.core.matrices import build_qp_structure, build_qp_vectors
 from repro.prediction.naive import LastValuePredictor
 from repro.prediction.oracle import OraclePredictor
+from repro.simulation.scenario import build_small_scenario
+from repro.solvers.qp import QPSettings
+from repro.solvers.workspace import QPWorkspace
 
 
 @pytest.fixture
@@ -294,6 +299,114 @@ class TestWarmControllerPath:
         assert controller.demand_predictor.num_observations == 2
         with pytest.raises(ValueError, match="state must be"):
             controller.set_state(np.zeros((2, 1)))
+
+
+class TestHorizonShrinkSeeding:
+    """A window clamped at the end of a run seeds its crossover with the
+    previous period's active set, shifted one step; nothing else does."""
+
+    @pytest.fixture
+    def pruned_instance(self):
+        return DSPPInstance(
+            datacenters=("a", "b", "c"),
+            locations=("v0", "v1"),
+            sla_coefficients=np.array([[0.1, np.inf], [0.12, 0.1], [np.inf, 0.15]]),
+            reconfiguration_weights=np.array([1.0, 1.5, 2.0]),
+            capacities=np.array([200.0, 200.0, 200.0]),
+            initial_state=np.zeros((3, 2)),
+        )
+
+    @pytest.mark.parametrize(
+        "change, seeded",
+        [
+            ("horizon", True),
+            ("longer", False),
+            ("elastic", False),
+            ("sparsify", False),
+            ("settings", False),
+        ],
+    )
+    def test_only_a_shorter_horizon_seeds(self, monkeypatch, pruned_instance, change, seeded):
+        offered = []
+        original = QPWorkspace.seed_active_set
+
+        def spy(self, active_lower, active_upper):
+            offered.append(self)
+            original(self, active_lower, active_upper)
+
+        monkeypatch.setattr(QPWorkspace, "seed_active_set", spy)
+        rng = np.random.default_rng(5)
+        demand = rng.uniform(10.0, 40.0, size=(2, 5))
+        prices = rng.uniform(0.5, 2.0, size=(3, 5))
+        workspace = DSPPWorkspace()
+        first = solve_dspp(pruned_instance, demand[:, :3], prices[:, :3], workspace=workspace)
+        assert workspace._qp.active_set is not None
+        instance = pruned_instance.with_initial_state(first.trajectory.states[0])
+        horizon = 4 if change == "longer" else 2
+        kwargs = {}
+        if change == "elastic":
+            kwargs["demand_slack_penalty"] = 50.0
+        elif change == "settings":
+            kwargs["settings"] = QPSettings(early_polish=True, eps_abs=1e-7)
+        elif change == "sparsify":
+            # A nonzero state at an SLA-unusable pair resolves to the dense layout.
+            state = instance.initial_state.copy()
+            state[0, 1] = 1.0
+            instance = instance.with_initial_state(state)
+        window = slice(1, 1 + horizon)
+        warm = solve_dspp(
+            instance, demand[:, window], prices[:, window], workspace=workspace, **kwargs
+        )
+        cold = solve_dspp(instance, demand[:, window], prices[:, window], **kwargs)
+        assert workspace.num_setups == 2
+        assert len(offered) == int(seeded)
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+
+    def test_rejected_seed_is_not_cached(self, monkeypatch, small_instance):
+        structure = build_qp_structure(small_instance, 2)
+        q, l, u = build_qp_vectors(
+            structure, small_instance, np.full((2, 2), 10.0), np.ones((2, 2))
+        )
+
+        def solve(seed):
+            workspace = QPWorkspace(QPSettings(early_polish=True))
+            workspace.setup(structure.P, structure.A, q=q, l=l, u=u)
+            if seed is not None:
+                workspace.seed_active_set(*seed)
+            return workspace, workspace.solve()
+
+        certified, _ = solve(None)
+        seed = certified.active_set
+        assert seed is not None
+        # Reject every candidate: the seed misses and ADMM runs as unseeded.
+        monkeypatch.setattr(QPWorkspace, "_certifies_optimal", lambda self, solution: False)
+        seeded, seeded_solution = solve(seed)
+        unseeded, unseeded_solution = solve(None)
+        assert seeded_solution.iterations == unseeded_solution.iterations > 0
+        np.testing.assert_array_equal(seeded_solution.x, unseeded_solution.x)
+        assert seeded.active_set is None and unseeded.active_set is None
+
+    def test_closed_loop_tail_solves_skip_admm(self):
+        scenario = build_small_scenario()
+        controller = MPCController(
+            scenario.instance,
+            OraclePredictor(scenario.demand),
+            OraclePredictor(scenario.prices),
+            MPCConfig(window=3),
+        )
+        result = run_closed_loop(controller, scenario.demand, scenario.prices)
+        # Horizons 3, ..., 3, 2, 1: one setup per horizon.
+        assert controller._workspace.num_setups == 3
+        assert [step.solution.qp.iterations for step in result.steps[-2:]] == [0, 0]
+        state = scenario.instance.initial_state
+        for step in result.steps:
+            cold = solve_dspp(
+                scenario.instance.with_initial_state(state),
+                step.predicted_demand,
+                step.predicted_prices,
+            )
+            assert step.solution.objective == pytest.approx(cold.objective, rel=1e-9)
+            state = step.new_state
 
 
 class TestStructureFingerprintCaching:

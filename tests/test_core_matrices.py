@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.matrices import PairIndexer, build_stacked_qp
+from repro.core.matrices import PairIndexer, build_qp_structure, build_stacked_qp
 from repro.core.instance import DSPPInstance
 
 
@@ -166,3 +166,58 @@ class TestBuildStackedQP:
         assert duals.shape == (2, 2)
         assert duals[0, 0] == 3.0
         assert duals[0, 1] == 0.0
+
+
+def _row_families(view):
+    families = [view.dynamics_rows, view.demand_rows, view.capacity_rows, view.nonneg_rows]
+    return families + [view.slack_rows] if view.elastic else families
+
+
+class TestShiftActiveSet:
+    """The receding shift of an active set onto a shorter horizon."""
+
+    @pytest.fixture
+    def pruned_instance(self):
+        return DSPPInstance(
+            datacenters=("dc0", "dc1", "dc2"),
+            locations=("v0", "v1"),
+            sla_coefficients=np.array([[0.1, np.inf], [0.2, 0.1], [np.inf, 0.3]]),
+            reconfiguration_weights=np.array([2.0, 3.0, 1.0]),
+            capacities=np.array([40.0, 60.0, 50.0]),
+            initial_state=np.zeros((3, 2)),
+        )
+
+    @pytest.mark.parametrize("layout", ["dense", "sparsified", "elastic"])
+    @pytest.mark.parametrize("num_steps", [1, 2, 3])
+    def test_new_step_rows_are_old_next_step_rows(
+        self, instance, pruned_instance, layout, num_steps
+    ):
+        if layout == "sparsified":
+            view = build_qp_structure(pruned_instance, 4, sparsify=True).blocks
+            assert view.active_pairs is not None
+        else:
+            view = build_qp_structure(instance, 4, elastic=layout == "elastic").blocks
+        shorter = build_qp_structure(
+            pruned_instance if layout == "sparsified" else instance,
+            num_steps,
+            elastic=layout == "elastic",
+            sparsify=layout == "sparsified",
+        ).blocks
+        rng = np.random.default_rng(num_steps)
+        lower = rng.random(view.num_constraints) < 0.5
+        upper = rng.random(view.num_constraints) < 0.5
+        new_lower, new_upper = view.shift_active_set(lower, upper, num_steps)
+        assert new_lower.shape == new_upper.shape == (shorter.num_constraints,)
+        for old_rows, new_rows in zip(_row_families(view), _row_families(shorter)):
+            for t in range(num_steps):
+                np.testing.assert_array_equal(new_lower[new_rows(t)], lower[old_rows(t + 1)])
+                np.testing.assert_array_equal(new_upper[new_rows(t)], upper[old_rows(t + 1)])
+
+    def test_rejects_bad_horizons_and_masks(self, instance):
+        view = build_qp_structure(instance, 3).blocks
+        mask = np.zeros(view.num_constraints, dtype=bool)
+        for num_steps in (0, 3, 4):
+            with pytest.raises(ValueError, match="num_steps"):
+                view.shift_active_set(mask, mask, num_steps)
+        with pytest.raises(ValueError, match="mask"):
+            view.shift_active_set(mask[1:], mask[1:], 2)

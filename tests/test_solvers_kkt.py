@@ -4,9 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from repro.solvers.kkt import KKTResiduals, kkt_residuals, polish_solution
+from repro.core.matrices import build_qp_structure, build_qp_vectors
+from repro.solvers.kkt import (
+    KKTResiduals,
+    build_active_set_system,
+    kkt_residuals,
+    polish_solution,
+    regularized_kkt,
+    solve_active_set_system,
+)
 from repro.solvers.qp import QPProblem, QPSettings, solve_qp
+from repro.verify.generators import random_demand, random_instance, random_prices
 
 
 def _box_problem():
@@ -67,3 +77,58 @@ class TestPolish:
         )
         refined = polish_solution(problem, solution)
         assert refined.polished is False
+
+
+class TestActiveSetAssembly:
+    """Active-set systems are sliced out of one cached regularized KKT."""
+
+    @pytest.mark.parametrize("elastic", [False, True])
+    def test_slice_equals_block_assembly_bitwise(self, elastic):
+        rng = np.random.default_rng(7)
+        instance = random_instance(rng, "medium")
+        structure = build_qp_structure(instance, 4, elastic=elastic)
+        q, l, u = build_qp_vectors(
+            structure,
+            instance,
+            random_demand(rng, instance, 4),
+            random_prices(rng, instance, 4),
+            demand_slack_penalty=5.0 if elastic else None,
+        )
+        problem = QPProblem.build(structure.P, q, structure.A, l, u)
+        full = regularized_kkt(problem)
+        n = problem.num_variables
+        reg = 1e-9
+        for _ in range(50):
+            active = rng.random(problem.num_constraints) < rng.uniform(0.1, 0.9)
+            a_active = problem.A[active]
+            reference = sp.bmat(
+                [
+                    [problem.P + reg * sp.identity(n, format="csc"), a_active.T],
+                    [a_active, -reg * sp.identity(a_active.shape[0], format="csc")],
+                ],
+                format="csc",
+            )
+            keep = np.concatenate([np.arange(n), n + np.flatnonzero(active)])
+            sliced = full[keep][:, keep]
+            assert sliced.shape == reference.shape
+            np.testing.assert_array_equal(sliced.indptr, reference.indptr)
+            np.testing.assert_array_equal(sliced.indices, reference.indices)
+            np.testing.assert_array_equal(sliced.data, reference.data)
+
+    def test_cached_kkt_gives_the_same_system(self):
+        rng = np.random.default_rng(3)
+        instance = random_instance(rng, "small")
+        structure = build_qp_structure(instance, 3)
+        q, l, u = build_qp_vectors(
+            structure, instance, random_demand(rng, instance, 3), random_prices(rng, instance, 3)
+        )
+        problem = QPProblem.build(structure.P, q, structure.A, l, u)
+        lower = np.zeros(problem.num_constraints, dtype=bool)
+        upper = problem.l == problem.u
+        fresh = build_active_set_system(problem, lower, upper)
+        cached = build_active_set_system(problem, lower, upper, kkt=regularized_kkt(problem))
+        assert fresh is not None and cached is not None
+        for a, b in zip(
+            solve_active_set_system(problem, fresh), solve_active_set_system(problem, cached)
+        ):
+            np.testing.assert_array_equal(a, b)
